@@ -76,8 +76,9 @@ MAGIC = b"JKRG"
 REVOKED_GENERATION = 0
 
 #: Response bodies at/over this many bytes ride a sealed region across
-#: the out-of-process servlet boundary (``repro.web.servlet``); kept in
-#: lockstep with the LRMI bulk-ring threshold by default.
+#: the out-of-process servlet boundary (``repro.web.servlet``).  The
+#: LRMI bulk-ring threshold (``repro.ipc.lrmi.SHM_THRESHOLD``) is this
+#: same value: the environment is read here, once, for both.
 SEAL_THRESHOLD = int(os.environ.get("JK_LRMI_SHM_THRESHOLD", "16384"))
 
 #: Segments kept on the pool free list per size class; beyond it a

@@ -2,10 +2,10 @@
 
 The Remote Playground deployment (PAPERS.md) runs untrusted servlets on
 sacrificial machines; here each "machine" is a forked agent process —
-the same crash-containment boundary the cross-process LRMI hosts use,
-reached through the hardened ntrpc transport instead of the LRMI wire,
-because the coordinator needs exactly the fleet verbs, not a full
-marshalling proxy layer.
+the same crash-containment boundary the cross-process LRMI hosts use
+(both are a ``repro.ipc.transport.EndpointProcess``), reached through
+ntrpc instead of the LRMI wire, because the coordinator needs exactly
+the fleet verbs, not a full marshalling proxy layer.
 
 The agent owns:
 
@@ -31,14 +31,12 @@ The agent owns:
 from __future__ import annotations
 
 import os
-import socket
-import tempfile
 import threading
 import time
-import uuid
 
 from repro.core.errors import DomainUnavailableException
 from repro.ipc.ntrpc import RpcServer
+from repro.ipc.transport import EndpointProcess, socket_path
 
 from .proto import PlacementGoneError, envelope
 from .tokens import TokenAuthority, TokenRevokedError
@@ -189,25 +187,7 @@ class FleetHostAgent:
         }
 
 
-def _host_agent_main(host_id, registry, secret, epoch, path, parent_pid):
-    agent = FleetHostAgent(host_id, registry, secret, epoch)
-    server = RpcServer(path, agent.handlers())
-
-    def watchdog():
-        while True:
-            time.sleep(0.1)
-            # Orphan check against the REAL parent pid captured at fork
-            # (comparing against 1 would self-destruct under PID-1
-            # parents, i.e. containers).
-            if os.getppid() != parent_pid:
-                os._exit(0)
-
-    threading.Thread(target=watchdog, daemon=True,
-                     name=f"fleet-{host_id}-watchdog").start()
-    server.serve()
-
-
-class FleetHostProcess:
+class FleetHostProcess(EndpointProcess):
     """Forks an agent process for one fleet host.
 
     ``registry`` maps a servlet *kind* to a setup callable returning a
@@ -217,94 +197,11 @@ class FleetHostProcess:
     """
 
     def __init__(self, host_id, registry, *, secret, epoch=0):
+        def serve():
+            agent = FleetHostAgent(host_id, registry, secret, epoch)
+            RpcServer(self.path, agent.handlers()).serve()
+
+        super().__init__(socket_path(f"repro-fleet-{host_id}"),
+                         f"fleet host {host_id!r}", serve,
+                         error=DomainUnavailableException)
         self.host_id = host_id
-        self.path = os.path.join(
-            tempfile.gettempdir(),
-            f"repro-fleet-{host_id}-{uuid.uuid4().hex[:8]}.sock",
-        )
-        self._registry = registry
-        self._secret = secret
-        self._epoch = epoch
-        self._pid = None
-
-    @property
-    def pid(self):
-        return self._pid
-
-    def start(self):
-        parent_pid = os.getpid()
-        pid = os.fork()
-        if pid == 0:
-            status = 0
-            try:
-                _host_agent_main(self.host_id, self._registry,
-                                 self._secret, self._epoch, self.path,
-                                 parent_pid)
-            except BaseException:
-                import traceback
-
-                traceback.print_exc()
-                status = 1
-            finally:
-                os._exit(status)
-        self._pid = pid
-        self._wait_for_socket()
-        return self
-
-    def _wait_for_socket(self, timeout=10.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self.alive():
-                raise DomainUnavailableException(
-                    f"fleet host {self.host_id!r} died during startup")
-            if os.path.exists(self.path):
-                try:
-                    probe = socket.socket(socket.AF_UNIX,
-                                          socket.SOCK_STREAM)
-                    probe.connect(self.path)
-                    probe.close()
-                    return
-                except OSError:
-                    pass
-            time.sleep(0.005)
-        raise DomainUnavailableException(
-            f"fleet host {self.host_id!r} socket did not appear")
-
-    def alive(self):
-        if self._pid is None:
-            return False
-        try:
-            pid, _status = os.waitpid(self._pid, os.WNOHANG)
-        except ChildProcessError:
-            return False
-        if pid == self._pid:
-            self._pid = None
-            return False
-        return True
-
-    def kill(self):
-        """SIGKILL the agent *without* unlinking its socket — a crash,
-        not a stop: the stale path stays behind exactly as a dead
-        machine's address would."""
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-
-    def stop(self):
-        self.kill()
-        if os.path.exists(self.path):
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False

@@ -21,6 +21,8 @@ Architecture
 * :class:`DomainClient` — the parent-side peer: a small pool of
   connections, ``lookup(name)`` returning remote-capability proxies, and
   kernel control verbs (``revoke``/``terminate``/``stats``/``shutdown``).
+  Supervising the host process and hardening the client's pool are the
+  transport core's job (``repro.ipc.transport``), shared with ``ntrpc``.
 * Proxies — per-method generated classes (mirroring the in-process stub
   generator): each method marshals the call and re-raises the callee's
   exception in the caller's process.  Capabilities inside
@@ -67,9 +69,8 @@ second serializer pass over the already-serialized payload bytes — is
 gone on every path.  Outbound frames are composed into one reusable
 per-connection buffer (``ObjectWriter.dumps_into``) and leave through
 scatter-gather ``sendmsg``; inbound frames are sliced zero-copy out of a
-buffered receive.  Set ``JK_LRMI_WIRE=generic`` (or flip
-:data:`COMPILED_WIRE`) to force every call through the generic tagged
-path — the differential matrix runs over both.
+buffered receive.  Flipping :data:`COMPILED_WIRE` forces every call
+through the generic tagged path — the differential matrix runs over both.
 
 A dead host surfaces as :class:`DomainUnavailableException` (a
 ``RemoteException`` subclass the web layer maps to a retryable 503),
@@ -84,18 +85,16 @@ from __future__ import annotations
 import itertools
 import keyword as _keyword
 import os
-import select
 import socket
 import struct
-import tempfile
 import threading
 import time
-import uuid
 
 from repro.core import Capability, register_capref_type
 from repro.core import convention as _convention
 from repro.core import policy as _policy
 from repro.core import segments as _segments
+from repro.core.accounting import ShardedCounter
 from repro.core.capability import _raise_revoked, _raise_terminated
 from repro.core.errors import (
     DomainUnavailableException,
@@ -105,6 +104,7 @@ from repro.core.errors import (
     RevokedException,
 )
 from repro.core.regions import (
+    SEAL_THRESHOLD,
     AttachmentCache,
     SealedRegion,
     purge_pid as _purge_regions,
@@ -113,6 +113,15 @@ from repro.core.remote import is_remote_interface
 from repro.core.serial import ObjectReader, ObjectWriter, dumps, loads
 
 from .shm import GRANT, BulkRing, RingError
+from .transport import (
+    CALL_TIMEOUT,
+    Channel,
+    EndpointProcess,
+    SocketServer,
+    apply_deadline,
+    readable_unless_eof,
+    socket_path,
+)
 from .wire import (
     MAX_FRAME,
     WireError,
@@ -171,34 +180,26 @@ _INT_REPLY_FRAME = struct.Struct(">IBIBBq")    # 15, op, id, fmt, T_INT64, v
 # One-shot header decode for buffered receive: length, opcode, call id.
 _HDR9 = struct.Struct(">IBI")
 
-#: A pooled connection released within this many seconds skips the
-#: checkout health probe: the probe is a freshness snapshot anyway (see
-#: the TOCTOU note on DomainClient), and probing a socket that was alive
-#: microseconds ago spends a syscall to learn nothing.
-PROBE_FRESH_S = 0.005
-
 #: Payloads at/over this many bytes ride the shared-memory bulk ring
 #: instead of the socket (read at send time, so tests can retune it).
 #: The crossover is empirical: below it, one scatter-gather ``sendmsg``
 #: ships the frame parts zero-copy and beats the ring's
 #: assemble-into-shared-memory memcpy; above it, the ring wins (2.3x at
 #: 256 KiB) because the socket path starts paying kernel buffer copies
-#: and fragmented sends.
-SHM_THRESHOLD = int(os.environ.get("JK_LRMI_SHM_THRESHOLD", "16384"))
+#: and fragmented sends.  One value with the sealed-region threshold
+#: (``repro.core.regions``), which reads the environment for both.
+SHM_THRESHOLD = SEAL_THRESHOLD
 
 #: Size of each per-connection bulk ring (one per send direction, lazily
 #: created on the first over-threshold payload).
-RING_SIZE = int(os.environ.get("JK_LRMI_RING_SIZE", str(1 << 20)))
+RING_SIZE = 1 << 20
 
-#: Gate for the compiled MF_CALL fast path.  ``JK_LRMI_WIRE=generic``
-#: (or monkeypatching this to False before a host forks) sends every
-#: call through the generic tagged envelope — the differential suite
-#: runs its whole matrix both ways.
-COMPILED_WIRE = os.environ.get("JK_LRMI_WIRE", "compiled") != "generic"
-
-#: Default per-operation wire timeout: generous enough for a slow
-#: servlet, small enough that a wedged host cannot hang its callers.
-CALL_TIMEOUT = 30.0
+#: Gate for the compiled MF_CALL fast path.  Patched to False before a
+#: host forks, every call goes through the generic tagged envelope: the
+#: fallback keyword/restricted/idempotent/streamed calls always take,
+#: and the reference the differential suite runs its whole matrix
+#: against.
+COMPILED_WIRE = True
 
 #: How often the host sweeps its export table for revoked capabilities.
 SWEEP_INTERVAL = 0.02
@@ -213,6 +214,12 @@ _chaos = None
 
 class ProtocolError(JKernelError):
     """Malformed or out-of-order cross-process LRMI frame."""
+
+
+class _PeerClosed(WireError):
+    """EOF with no partial frame buffered: the peer hung up *between*
+    frames — a normal disconnect for a serving loop, still a transport
+    failure for a caller awaiting its reply."""
 
 
 # Registered so a host-side protocol failure re-raises as itself in the
@@ -562,11 +569,14 @@ class _Peer:
         self._proxies = {}
         self._proxy_lock = threading.Lock()
         # Sealed-region attachment cache, created on the first inbound
-        # grant; and the count of ring-close failures swallowed on this
-        # peer's connections (a leaked view pinning a mapping — surfaced
-        # in stats instead of silently passed).
+        # grant.
         self._regions = None
-        self.ring_close_failures = 0
+        # What this peer's connections would otherwise swallow: ring
+        # closes that hit a leaked view pinning a mapping, and ring
+        # set-ups that failed (that connection sends inline for good).
+        # Sharded: connections close concurrently.
+        self.ring_close_failures = ShardedCounter()
+        self.ring_setup_failures = ShardedCounter()
 
     def attach_region(self, descriptor):
         """Resolve a ``("region", ...)`` grant into a view region,
@@ -588,10 +598,6 @@ class _Peer:
         if cache is None:
             return 0
         return cache.close()
-
-    def note_ring_close_failures(self, count):
-        if count:
-            self.ring_close_failures += count
 
     def proxy_for(self, export_id, label, methods):
         with self._proxy_lock:
@@ -788,6 +794,7 @@ class _Connection:
             ring = BulkRing.create(RING_SIZE)
         except Exception:
             self._ring_failed = True
+            self.peer.ring_setup_failures.add()
             return None
         announcement = (
             bytes((OP_RING,))
@@ -815,7 +822,9 @@ class _Connection:
         else:
             chunk = self.sock.recv(65536)
         if not chunk:
-            raise WireError("connection closed mid-frame")
+            if self._roff < len(self._rbuf):
+                raise WireError("connection closed mid-frame")
+            raise _PeerClosed("connection closed")
         if self._roff:
             rest = self._rbuf[self._roff:]
             # Steady state: the previous frame was fully consumed, so
@@ -866,7 +875,7 @@ class _Connection:
         name, _size, generation = announcement
         previous, self._peer_ring = self._peer_ring, None
         if previous is not None and previous.close() and self.peer is not None:
-            self.peer.note_ring_close_failures(1)
+            self.peer.ring_close_failures.add()
         try:
             self._peer_ring = BulkRing.attach(name, generation)
         except (OSError, ValueError) as exc:
@@ -1021,7 +1030,7 @@ class _Connection:
     def _round(self, send, call_id, deadline):
         base_timeout = self.sock.gettimeout()
         try:
-            self._apply_deadline(deadline, base_timeout)
+            apply_deadline(self.sock, deadline, base_timeout)
             send()
             return self._await(call_id, deadline, base_timeout)
         except socket.timeout as exc:
@@ -1045,24 +1054,15 @@ class _Connection:
         error = DomainUnavailableException(
             f"out-of-process domain unreachable: {exc}"
         )
-        # Checkout-retry discriminator (see DomainClient._exchange): a
-        # deadline expiry must never be retried — the time is spent —
-        # while a connection reset on a pooled socket is the TOCTOU race.
+        # The channel's retry discriminator: a deadline expiry must
+        # never be retried — the time is spent — while a connection
+        # reset on a pooled socket is the probe-then-die race.
         error.timed_out = timed_out
         return error
 
-    def _apply_deadline(self, deadline, base_timeout):
-        if deadline is None:
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise socket.timeout("call deadline exceeded")
-        if base_timeout is None or remaining < base_timeout:
-            self.sock.settimeout(remaining)
-
     def _await(self, call_id, deadline=None, base_timeout=None):
         while True:
-            self._apply_deadline(deadline, base_timeout)
+            apply_deadline(self.sock, deadline, base_timeout)
             opcode, reply_id, payload = self._recv()
             if opcode == OP_REVOKED:
                 self.peer.mark_revoked(loads(payload))
@@ -1245,7 +1245,9 @@ class _Connection:
             self._reply_result(call_id, result)
 
     def serve_loop(self):
-        """Host-side connection loop: serve until BYE/close."""
+        """Host-side connection loop: serve until BYE or the peer hangs
+        up between frames.  Any other transport failure propagates to
+        the accept loop, which counts it (``connection_errors``)."""
         try:
             while not self.closed:
                 opcode, call_id, payload = self._recv()
@@ -1255,8 +1257,8 @@ class _Connection:
                     self.peer.mark_revoked(loads(payload))
                     continue
                 self._dispatch(opcode, call_id, payload)
-        except (OSError, WireError):
-            pass
+        except _PeerClosed:
+            pass  # pool eviction and overflow close without a BYE
         finally:
             self.close()
 
@@ -1283,7 +1285,7 @@ class _Connection:
         peer = self.peer
         if peer is not None:
             if failures:
-                peer.note_ring_close_failures(failures)
+                peer.ring_close_failures.add(failures)
             if self.dispatcher is not None:
                 # Host-side connection: its per-connection peer (and the
                 # attachment cache of every grant it resolved) dies with
@@ -1303,6 +1305,10 @@ class _ConnectionPeer(_Peer):
         super().__init__(exports=kernel.exports)
         self._kernel = kernel
         self._connection = connection
+        # Aggregate kernel-wide: connections come and go, the stats verb
+        # reports one counter of each kind for the host.
+        self.ring_close_failures = kernel.ring_close_failures
+        self.ring_setup_failures = kernel.ring_setup_failures
 
     def call(self, export_id, method, args, kwargs):
         return self._connection.call(
@@ -1320,11 +1326,6 @@ class _ConnectionPeer(_Peer):
     def after_dispatch(self):
         self._kernel.sweep_and_broadcast()
 
-    def note_ring_close_failures(self, count):
-        # Aggregate kernel-wide: connections come and go, the stats verb
-        # reports one counter for the host.
-        self._kernel.note_ring_close_failures(count)
-
 
 class _HostKernel(_Peer):
     """The host-side kernel state: bindings, exports, broadcast bus."""
@@ -1332,6 +1333,7 @@ class _HostKernel(_Peer):
     def __init__(self, bindings):
         super().__init__()
         self.bindings = bindings
+        self.server = None  # the accept loop, once _host_main starts it
         self._connections = []
         self._conn_lock = threading.Lock()
 
@@ -1396,7 +1398,10 @@ class _HostKernel(_Peer):
                 "exports": len(self.exports),
                 "accounts": get_accountant().report(),
                 "domains": domains,
-                "ring_close_failures": self.ring_close_failures,
+                "connection_errors": (self.server.connection_errors
+                                      if self.server is not None else 0),
+                "ring_setup_failures": self.ring_setup_failures.value,
+                "ring_close_failures": self.ring_close_failures.value,
             }
         if verb == "ping":
             return "pong"
@@ -1409,8 +1414,8 @@ class _HostKernel(_Peer):
         raise ProtocolError(f"unknown control verb {verb!r}")
 
 
-def _host_main(path, setup, parent_pid):
-    """Child-process entry: build bindings, serve LRMI forever."""
+def _host_main(path, setup):
+    """Child-process entry: build bindings, serve LRMI until killed."""
     bindings = setup()
     if not isinstance(bindings, dict) or not bindings:
         raise TypeError("setup() must return a non-empty {name: Capability}")
@@ -1419,19 +1424,10 @@ def _host_main(path, setup, parent_pid):
     def sweeper():
         while True:
             time.sleep(SWEEP_INTERVAL)
-            # Orphan check against the REAL parent pid captured at fork:
-            # comparing against 1 would self-destruct every host when
-            # the parent itself runs as PID 1 (containers).
-            if os.getppid() != parent_pid:
-                os._exit(0)  # orphaned: the parent died
             kernel.sweep_and_broadcast()
 
     threading.Thread(target=sweeper, daemon=True,
                      name="lrmi-host-sweeper").start()
-
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    listener.bind(path)
-    listener.listen(16)
 
     def serve(conn_sock):
         connection = _Connection(conn_sock, None,
@@ -1444,13 +1440,11 @@ def _host_main(path, setup, parent_pid):
         finally:
             kernel.unregister_connection(connection)
 
-    while True:
-        conn_sock, _ = listener.accept()
-        threading.Thread(target=serve, args=(conn_sock,), daemon=True,
-                         name="lrmi-host-conn").start()
+    kernel.server = SocketServer(path, serve)
+    kernel.server.serve()
 
 
-class DomainHostProcess:
+class DomainHostProcess(EndpointProcess):
     """Forks a child hosting out-of-process domains behind LRMI.
 
     ``setup`` runs **in the child** after fork and returns
@@ -1459,115 +1453,19 @@ class DomainHostProcess:
     """
 
     def __init__(self, setup, name="domain-host"):
+        # Reclaimed on stop: whatever region segments the dead host left
+        # in /dev/shm — the supervisor's by-name purge is the cleanup of
+        # record.
+        super().__init__(socket_path("repro-lrmi"), f"domain host {name!r}",
+                         lambda: _host_main(self.path, setup),
+                         error=DomainUnavailableException,
+                         reclaim=_purge_regions)
         self.name = name
-        self.path = os.path.join(
-            tempfile.gettempdir(),
-            f"repro-lrmi-{uuid.uuid4().hex[:12]}.sock",
-        )
-        self._setup = setup
-        self._pid = None
-        # The last pid this process forked, remembered past alive()'s
-        # reaping (which clears _pid) so stop() can purge the dead
-        # host's region segments by name.
-        self._spawned_pid = None
-
-    @property
-    def pid(self):
-        return self._pid
-
-    def start(self):
-        if os.path.exists(self.path):
-            # Restart-in-place after a crash: the dead host's socket
-            # file survives it and would make the child's bind fail.
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-        parent_pid = os.getpid()
-        pid = os.fork()
-        if pid == 0:
-            status = 0
-            try:
-                _host_main(self.path, self._setup, parent_pid)
-            except BaseException:
-                # Print BEFORE exiting: a bare os._exit would swallow a
-                # setup() failure entirely, leaving the parent's generic
-                # "died during startup" as the only (useless) signal.
-                import traceback
-
-                traceback.print_exc()
-                status = 1
-            finally:
-                os._exit(status)
-        self._pid = pid
-        self._spawned_pid = pid
-        self._wait_for_socket()
-        return self
-
-    def _wait_for_socket(self, timeout=10.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self.alive():
-                raise DomainUnavailableException(
-                    f"domain host {self.name!r} died during startup"
-                )
-            if os.path.exists(self.path):
-                try:
-                    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    probe.connect(self.path)
-                    probe.close()
-                    return
-                except OSError:
-                    pass
-            time.sleep(0.005)
-        raise DomainUnavailableException(
-            f"domain host {self.name!r} socket did not appear"
-        )
-
-    def alive(self):
-        if self._pid is None:
-            return False
-        try:
-            pid, _status = os.waitpid(self._pid, os.WNOHANG)
-        except ChildProcessError:
-            return False
-        if pid == self._pid:
-            self._pid = None
-            return False
-        return True
-
-    def stop(self):
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-        if self._spawned_pid is not None:
-            # The host is dead (just killed, or reaped earlier by
-            # alive()): reclaim whatever region segments it left in
-            # /dev/shm — a SIGKILL gives its atexit hooks no chance, so
-            # the supervisor's by-name purge is the cleanup of record.
-            _purge_regions(self._spawned_pid)
-            self._spawned_pid = None
-        if os.path.exists(self.path):
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
 
 
 # -- the client ---------------------------------------------------------------
 
-class DomainClient(_Peer):
+class DomainClient(_Peer, Channel):
     """Parent-side peer: pooled connections to one domain host.
 
     Robustness knobs (all off by default, preserving PR-5 behaviour):
@@ -1578,171 +1476,49 @@ class DomainClient(_Peer):
     * ``retries``/``backoff`` — bounded retry with exponential backoff
       after a transport failure, applied ONLY to idempotent work:
       control verbs in :data:`IDEMPOTENT_CONTROL` and methods the
-      caller declared via ``idempotent=``.  Each attempt acquires a
-      fresh connection (the failed one was closed by the error path).
+      caller declared via ``idempotent=``.
 
-    Independent of both knobs, a transport failure on a REUSED pooled
-    connection gets one immediate retry on a fresh dial: the checkout
-    health probe (select + ``MSG_PEEK``) is a snapshot, and a host that
-    restarted between probe and send leaves a socket that probes healthy
-    but RSTs on use — the same TOCTOU race fixed for ``ntrpc.RpcClient``
-    in PR 7.  A fresh dial either reaches the live (new) host or fails
-    honestly; deadline expiries are never retried (the time is spent),
-    and a call that went out on a FRESH dial failed against current
-    state, so it surfaces immediately.
+    The pool and the failure handling are ``transport.Channel``'s; what
+    is LRMI's: a dialed socket becomes a :class:`_Connection`, and an
+    idle one that turns readable is dead only on EOF — a queued
+    ``OP_REVOKED`` broadcast is healthy.
     """
+
+    transport_error = DomainUnavailableException
+    peer_label = "domain host"
+    idle_readable_ok = staticmethod(readable_unless_eof)
 
     def __init__(self, path, timeout=CALL_TIMEOUT, pool_size=4, *,
                  call_deadline=None, retries=0, backoff=0.05,
                  idempotent=()):
-        super().__init__()
-        self.path = path
-        self.timeout = timeout
-        self.pool_size = pool_size
-        self.call_deadline = call_deadline
-        self.retries = retries
-        self.backoff = backoff
+        _Peer.__init__(self)
+        Channel.__init__(self, path, timeout=timeout, pool_size=pool_size,
+                         call_deadline=call_deadline, retries=retries,
+                         backoff=backoff)
         self._idempotent = frozenset(idempotent)
-        self._free = []
-        self._pool_lock = threading.Lock()
-        self._closed = False
-        self._evicted = 0
 
-    # -- connection pool ---------------------------------------------------
-    def _connect(self):
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        try:
-            sock.connect(self.path)
-        except OSError as exc:
-            sock.close()
-            raise DomainUnavailableException(
-                f"cannot reach domain host at {self.path}: {exc}"
-            ) from None
+    def _wrap(self, sock):
         return _Connection(sock, self)
-
-    @staticmethod
-    def _healthy(connection):
-        """Checkout validation for a pooled idle connection.
-
-        A dead peer shows up as a readable socket whose peek returns
-        b"" (EOF).  A readable socket with pending *data* is healthy:
-        it is a revocation broadcast queued while the connection sat
-        in the pool, which the next ``_await`` loop consumes normally.
-        """
-        sock = connection.sock
-        try:
-            readable, _, _ = select.select([sock], [], [], 0)
-            if not readable:
-                return True
-            return bool(sock.recv(1, socket.MSG_PEEK))
-        except (OSError, ValueError):
-            return False
-
-    def _acquire(self):
-        """Checkout: ``(connection, reused)`` — reused means it came out
-        of the pool, so its health probe is subject to the TOCTOU race."""
-        if self._closed:
-            raise DomainUnavailableException("domain client closed")
-        while True:
-            with self._pool_lock:
-                if not self._free:
-                    break
-                connection = self._free.pop()
-            # A connection released moments ago skips the probe: back-
-            # to-back calls on a hot pool would pay a select() each to
-            # re-learn what the last call just proved, and the fresh-
-            # dial retry in _exchange covers the (already racy) window
-            # the probe would have covered.
-            if (time.monotonic() - connection.last_released < PROBE_FRESH_S
-                    or self._healthy(connection)):
-                return connection, True
-            with self._pool_lock:
-                self._evicted += 1
-            connection.close()
-        return self._connect(), False
-
-    @property
-    def evicted(self):
-        """Half-dead pooled connections dropped at checkout (for tests)."""
-        with self._pool_lock:
-            return self._evicted
-
-    def _release(self, connection):
-        if connection.closed:
-            return
-        connection.last_released = time.monotonic()
-        with self._pool_lock:
-            if not self._closed and len(self._free) < self.pool_size:
-                self._free.append(connection)
-                return
-        connection.close()
-
-    def _exchange(self, connection, reused, deadline, invoke):
-        """One call over a checked-out connection, with the one-shot
-        fresh-dial retry closing the pooled-socket TOCTOU window.  Only
-        a non-timeout transport failure on a REUSED connection retries,
-        and only while the deadline (if any) has time left."""
-        try:
-            try:
-                return invoke(connection)
-            except DomainUnavailableException as exc:
-                if not reused or getattr(exc, "timed_out", True):
-                    raise
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                connection = self._connect()
-                return invoke(connection)
-        finally:
-            self._release(connection)
-
-    def _deadline(self):
-        if self.call_deadline is None:
-            return None
-        return time.monotonic() + self.call_deadline
-
-    def _round_trip(self, opcode, request, retry=False):
-        deadline = self._deadline()
-        attempts = 1 + (self.retries if retry else 0)
-        delay = self.backoff
-        for attempt in range(attempts):
-            try:
-                # _acquire is inside the retry: during a host outage the
-                # failure IS the dial (connection refused), and retrying
-                # only the round trip would never bridge a restart.
-                connection, reused = self._acquire()
-                return self._exchange(
-                    connection, reused, deadline,
-                    lambda conn: conn.call(opcode, request,
-                                           deadline=deadline),
-                )
-            except DomainUnavailableException:
-                if attempt + 1 >= attempts or self._closed:
-                    raise
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                time.sleep(min(delay, 1.0))
-                delay *= 2
 
     # -- peer interface ----------------------------------------------------
     def call(self, export_id, method, args, kwargs):
-        return self._round_trip(
-            OP_CALL, _call_envelope(export_id, method, args, kwargs),
-            retry=method in self._idempotent,
+        request = _call_envelope(export_id, method, args, kwargs)
+        deadline = self._deadline()
+        return self._roundtrip(
+            lambda conn: conn.call(OP_CALL, request, deadline),
+            deadline, retry=method in self._idempotent,
         )
 
     def call_fast(self, export_id, method_index, method, args):
-        # Idempotent-declared methods keep the generic path: its retry
-        # loop is keyed on the method name.
+        # Idempotent-declared methods keep the generic path: retries
+        # are keyed on the method name.
         if not COMPILED_WIRE or method in self._idempotent:
             return self.call(export_id, method, args, {})
         deadline = self._deadline()
-        connection, reused = self._acquire()
-        return self._exchange(
-            connection, reused, deadline,
+        return self._roundtrip(
             lambda conn: conn.call_fast(export_id, method_index, args,
-                                        deadline=deadline),
-        )
+                                        deadline),
+            deadline)
 
     def call_streamed(self, export_id, method, args, fd, *, on_grant=None):
         """Invoke ``method`` granting ``fd`` to the host via SCM_RIGHTS.
@@ -1757,7 +1533,7 @@ class DomainClient(_Peer):
         fall back to an ordinary marshalled reply.
         """
         deadline = self._deadline()
-        connection, _reused = self._acquire()
+        connection, _reused = self._checkout()
         try:
             return connection.call_streamed(export_id, method, args, fd,
                                             deadline=deadline,
@@ -1766,8 +1542,10 @@ class DomainClient(_Peer):
             self._release(connection)
 
     def control(self, verb, *args):
-        return self._round_trip(
-            OP_CONTROL, (verb, args), retry=verb in IDEMPOTENT_CONTROL,
+        deadline = self._deadline()
+        return self._roundtrip(
+            lambda conn: conn.call(OP_CONTROL, (verb, args), deadline),
+            deadline, retry=verb in IDEMPOTENT_CONTROL,
         )
 
     # -- convenience -------------------------------------------------------
@@ -1788,23 +1566,13 @@ class DomainClient(_Peer):
         return self.control("terminate", name)
 
     def close(self):
-        with self._pool_lock:
-            self._closed = True
-            connections, self._free = self._free, []
-        for connection in connections:
+        for connection in self._drain():
             try:
                 connection._send(OP_BYE, 0, b"")
             except (OSError, WireError):
                 pass
             connection.close()
         self.close_regions()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
 
 
 def connect(host, **kwargs):

@@ -5,32 +5,16 @@ requests to registered handlers; a client makes synchronous calls.  Every
 call crosses a genuine process boundary twice — the cost the paper's
 Table 2 contrasts with in-process calls (a factor of ~3000).
 
-Beyond the Table 2 microbenchmark, this transport is what the fleet
-coordinator (``repro.fleet``) speaks to remote hosts, so it carries the
-same hardening the cross-process LRMI client grew in PR 6:
-
-* **typed errors** — every failure surfaces as an :class:`RpcError`
-  subclass: :class:`RpcTransportError` (dial/framing/connection loss),
-  :class:`RpcDeadlineError` (whole-call deadline expiry),
-  :class:`RpcMethodNotFound` and :class:`RpcHandlerError` (the remote
-  handler raised).  Nothing is silently swallowed: the server counts and
-  reports transport failures instead of ``pass``-ing them.
-* **per-call deadlines** — ``call_deadline=`` (or a per-call
-  ``deadline=``) bounds the whole round trip; expiry raises
-  :class:`RpcDeadlineError`, never a hang.
-* **checkout health + bounded retry** — the client re-validates its
-  pooled socket before each call (EOF or unexpected bytes on an idle
-  strict request/reply connection mean the peer died) and, when
-  configured, retries transport failures with exponential backoff —
-  the same machinery :class:`repro.ipc.lrmi.DomainClient` uses to
-  bridge host respawns.
-* **heartbeat liveness** — every server answers :data:`PING_METHOD`
-  (``__ping__``) from the serve loop itself, so a ping proves the
-  dispatch path is alive, not merely that the process holds the socket.
-* **graceful stop** — :meth:`RpcServer.stop` closes the listener and
-  every live connection, joins the serving threads, and unlinks the
-  socket path (binding also unlinks a stale path left by a crashed
-  predecessor, mirroring ``DomainHostProcess.start``).
+It is also what the fleet coordinator (``repro.fleet``) speaks to remote
+hosts.  Supervising the server process and hardening the client (pool,
+checkout probe, whole-call deadline, replay, back-off) are the transport
+core's job (``repro.ipc.transport``); this module is the protocol: a
+request is ``method\x00payload``, a reply a status byte plus body;
+strictly request/reply, so an idle connection that turns readable is
+dead and one socket used under a lock is the whole pool; every failure
+is an :class:`RpcError` subclass; and every server answers
+:data:`PING_METHOD` from the serve loop itself, so a ping proves the
+dispatch path is alive, not merely that the process holds the socket.
 
 Fault injection: the chaos harness (``repro.testing.chaos``) installs
 ``_chaos`` here to model network **partitions** between named endpoints
@@ -41,15 +25,19 @@ Fault injection: the chaos harness (``repro.testing.chaos``) installs
 
 from __future__ import annotations
 
-import os
-import select
 import socket
-import tempfile
 import threading
-import time
-import uuid
 
-from .wire import MAX_FRAME, WireError, recv_exact, recv_frame, send_frame
+from .transport import (
+    CALL_TIMEOUT,
+    Channel,
+    EndpointProcess,
+    SocketServer,
+    apply_deadline,
+    never_readable,
+    socket_path,
+)
+from .wire import WireError, recv_frame, send_frame
 
 _OK = 0
 _ERR = 1
@@ -60,10 +48,6 @@ _KIND_UNKNOWN = b"unknown"
 
 #: Reserved liveness method every :class:`RpcServer` answers itself.
 PING_METHOD = "__ping__"
-
-#: Default per-socket-operation timeout: generous enough for a loaded
-#: host, small enough that a wedged peer cannot hang its callers.
-CALL_TIMEOUT = 30.0
 
 #: Fault-injection hook (``repro.testing.chaos``); None in production.
 _chaos = None
@@ -77,10 +61,14 @@ class RpcTransportError(RpcError):
     """The transport failed: dial refused, framing violated, or the
     connection died mid-call.  Retryable when the caller opted in."""
 
+    timed_out = False
+
 
 class RpcDeadlineError(RpcTransportError):
     """The whole-call deadline expired.  Never retried internally: the
     deadline bounds the *total* time the caller is willing to wait."""
+
+    timed_out = True
 
 
 class RpcMethodNotFound(RpcError):
@@ -95,33 +83,16 @@ def _error_frame(kind, detail):
     return bytes([_ERR]) + kind + b"\x00" + detail.encode("utf-8", "replace")
 
 
-def _recv_request(conn):
-    """Receive one framed request, or None on a clean EOF *between*
-    frames — a normal disconnect, unlike an EOF mid-frame (WireError)."""
-    header = b""
-    while len(header) < 4:
-        chunk = conn.recv(4 - len(header))
-        if not chunk:
-            if header:
-                raise WireError("connection closed mid-frame")
-            return None
-        header += chunk
-    length = int.from_bytes(header, "big")
-    if length > MAX_FRAME:
-        raise WireError(f"frame too large: {length}")
-    return recv_exact(conn, length) if length else b""
-
-
-def _serve_connection(conn, handlers, server=None):
+def _serve_connection(conn, handlers):
     """Dispatch loop for one accepted connection.
 
-    A transport failure is surfaced to ``server`` (counted and passed to
-    its ``on_error`` callback as a typed :class:`RpcTransportError`),
-    never silently swallowed; a clean disconnect is not an error.
+    Returns on a clean disconnect between frames; a transport failure
+    (``WireError``/``OSError``) propagates to the accept loop, which
+    counts it — never silently swallowed.
     """
     try:
         while True:
-            frame = _recv_request(conn)
+            frame = recv_frame(conn, eof_ok=True)
             if frame is None:
                 break  # clean disconnect between frames
             sep = frame.index(b"\x00")
@@ -144,17 +115,11 @@ def _serve_connection(conn, handlers, server=None):
                 send_frame(conn, _error_frame(_KIND_APP, repr(exc)))
                 continue
             send_frame(conn, bytes([_OK]) + (reply or b""))
-    except (WireError, OSError) as exc:
-        if server is not None and not server.stopping:
-            server._note_transport_error(RpcTransportError(
-                f"connection failed mid-dispatch: {exc}"))
     finally:
         conn.close()
-        if server is not None:
-            server._forget_connection(conn)
 
 
-class RpcServer:
+class RpcServer(SocketServer):
     """A supervised ntrpc server: bind, serve, stop — all explicit.
 
     ``handlers`` maps method name -> ``fn(bytes) -> bytes``.  Transport
@@ -166,98 +131,17 @@ class RpcServer:
     MAX_RECORDED_ERRORS = 64
 
     def __init__(self, path=None, handlers=None, *, on_error=None):
-        self.path = path or os.path.join(
-            tempfile.gettempdir(), f"repro-rpc-{uuid.uuid4().hex[:12]}.sock"
-        )
+        super().__init__(
+            path or socket_path("repro-rpc"),
+            lambda conn: _serve_connection(conn, self.handlers),
+            on_error=self._note_transport_error,
+            bind_error=RpcTransportError)
         self.handlers = dict(handlers or {})
         self.on_error = on_error
-        self.stopping = False
         self.transport_errors = []
-        self._listener = None
-        self._lock = threading.Lock()
-        self._conns = set()
-        self._threads = []
 
-    def bind(self):
-        if os.path.exists(self.path):
-            # A crashed predecessor leaves its socket file behind and
-            # would make this bind fail (mirror DomainHostProcess.start).
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            listener.bind(self.path)
-        except OSError as exc:
-            listener.close()
-            raise RpcTransportError(
-                f"cannot bind {self.path}: {exc}") from None
-        listener.listen(16)
-        self._listener = listener
-        return self
-
-    def serve(self, ready_event=None):
-        """Accept loop; returns after :meth:`stop` (or listener death)."""
-        if self._listener is None:
-            self.bind()
-        if ready_event is not None:
-            ready_event.set()
-        try:
-            while not self.stopping:
-                try:
-                    conn, _ = self._listener.accept()
-                except OSError:
-                    break  # stop() closed the listener under us
-                with self._lock:
-                    if self.stopping:
-                        conn.close()
-                        break
-                    self._conns.add(conn)
-                worker = threading.Thread(
-                    target=_serve_connection,
-                    args=(conn, self.handlers, self), daemon=True,
-                )
-                self._threads.append(worker)
-                worker.start()
-        finally:
-            self._cleanup()
-
-    def stop(self, timeout=2.0):
-        """Graceful stop: close the listener and every live connection,
-        join the serving threads, unlink the socket path."""
-        self.stopping = True
-        listener = self._listener
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for worker in self._threads:
-            worker.join(timeout)
-        self._cleanup()
-
-    def _cleanup(self):
-        # Unlink on every exit path: serve_forever historically leaked
-        # the bound path, breaking the next bind on the same address.
-        if os.path.exists(self.path):
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-
-    def _forget_connection(self, conn):
-        with self._lock:
-            self._conns.discard(conn)
-
-    def _note_transport_error(self, error):
+    def _note_transport_error(self, exc):
+        error = RpcTransportError(f"connection failed mid-dispatch: {exc}")
         with self._lock:
             if len(self.transport_errors) < self.MAX_RECORDED_ERRORS:
                 self.transport_errors.append(error)
@@ -269,16 +153,13 @@ class RpcServer:
 
 
 def serve_forever(path, handlers, ready_event=None):
-    """Accept loop (runs in the server process) until the listener dies.
-
-    Thin wrapper over :class:`RpcServer` kept for the Table 2 fixtures:
-    stale socket paths are unlinked on bind and the path is removed on
-    exit instead of leaking.
-    """
+    """Accept loop (runs in the server process) until the listener dies
+    — :class:`RpcServer` without the object, kept for the Table 2
+    fixtures."""
     RpcServer(path, handlers).serve(ready_event)
 
 
-class RpcServerProcess:
+class RpcServerProcess(EndpointProcess):
     """Forks a child process serving ``handlers`` on a fresh socket path.
 
     ``handlers`` maps method name -> ``fn(bytes) -> bytes`` and must be
@@ -286,91 +167,12 @@ class RpcServerProcess:
     """
 
     def __init__(self, handlers):
-        self.path = os.path.join(
-            tempfile.gettempdir(), f"repro-rpc-{uuid.uuid4().hex[:12]}.sock"
-        )
-        self._handlers = handlers
-        self._pid = None
-
-    @property
-    def pid(self):
-        return self._pid
-
-    def start(self):
-        pid = os.fork()
-        if pid == 0:
-            # Child: serve until killed.
-            try:
-                serve_forever(self.path, self._handlers)
-            finally:
-                os._exit(0)
-        self._pid = pid
-        self._wait_for_socket()
-        return self
-
-    def _wait_for_socket(self, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self.alive():
-                raise RpcTransportError("server died during startup")
-            if os.path.exists(self.path):
-                try:
-                    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    probe.connect(self.path)
-                    probe.close()
-                    return
-                except OSError:
-                    pass
-            time.sleep(0.01)
-        raise RpcTransportError("server socket did not appear")
-
-    def alive(self):
-        if self._pid is None:
-            return False
-        try:
-            pid, _status = os.waitpid(self._pid, os.WNOHANG)
-        except ChildProcessError:
-            return False
-        if pid == self._pid:
-            self._pid = None
-            return False
-        return True
-
-    def stop(self):
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-        if os.path.exists(self.path):
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-
-    def kill(self):
-        """SIGKILL without unlinking the socket path — a *crash*, not a
-        clean stop: the stale path is exactly what a restarted server
-        must cope with (see :meth:`RpcServer.bind`)."""
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
+        super().__init__(socket_path("repro-rpc"), "rpc server",
+                         lambda: serve_forever(self.path, handlers),
+                         error=RpcTransportError)
 
 
-class RpcClient:
+class RpcClient(Channel):
     """Synchronous client for one server socket.
 
     Robustness knobs (all off by default, preserving the Table 2 path):
@@ -385,136 +187,58 @@ class RpcClient:
       partition model; unnamed clients are never partitioned.
     """
 
+    transport_error = RpcTransportError
+    peer_label = "rpc server"
+    idle_readable_ok = staticmethod(never_readable)
+
     def __init__(self, path, *, timeout=CALL_TIMEOUT, call_deadline=None,
                  retries=0, backoff=0.05, endpoint=None,
                  remote_endpoint=None):
-        if call_deadline is not None and call_deadline <= 0:
-            raise ValueError("call_deadline must be positive or None")
-        self.path = path
-        self.timeout = timeout
-        self.call_deadline = call_deadline
-        self.retries = retries
-        self.backoff = backoff
+        super().__init__(path, timeout=timeout, pool_size=1,
+                         call_deadline=call_deadline, retries=retries,
+                         backoff=backoff)
         self.endpoint = endpoint
         self.remote_endpoint = remote_endpoint
-        self._sock = None
+        # Calls are serialized: one socket, one request in flight.
         self._lock = threading.Lock()
 
     def connect(self):
-        self._sock = self._dial()
+        """Dial now rather than on the first call."""
+        with self._lock:
+            connection, _reused = self._checkout()
+            self._release(connection)
         return self
 
-    def _dial(self):
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        try:
-            sock.connect(self.path)
-        except OSError as exc:
-            sock.close()
-            raise RpcTransportError(
-                f"cannot reach rpc server at {self.path}: {exc}"
-            ) from None
-        return sock
-
-    def _checkout(self):
-        """Validate the pooled socket before use (DomainClient-style).
-
-        ntrpc is strict request/reply: an idle connection must have
-        nothing to read.  Readable means the peer died (EOF) or broke
-        protocol — either way the socket is dropped and redialed.
-        Returns ``(sock, reused)``; ``reused`` marks a pooled socket,
-        whose validation is only a snapshot (see :meth:`_once`).
-        """
-        sock = self._sock
-        if sock is None:
-            sock = self._sock = self._dial()
-            return sock, False
-        try:
-            readable, _, _ = select.select([sock], [], [], 0)
-            if readable:
-                self._drop()
-                return self._checkout()
-        except (OSError, ValueError):
-            self._drop()
-            return self._checkout()
-        return sock, True
-
-    def _drop(self):
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
     def _check_chaos(self, method):
-        if _chaos is None:
+        if (_chaos is None or self.endpoint is None
+                or self.remote_endpoint is None):
             return
-        if self.endpoint is not None and self.remote_endpoint is not None:
-            if _chaos.partitioned(self.endpoint, self.remote_endpoint):
-                raise RpcTransportError(
-                    f"chaos: partition between {self.endpoint} and "
-                    f"{self.remote_endpoint}"
-                )
-            if (method == PING_METHOD
-                    and _chaos.heartbeat_lost(self.endpoint,
-                                              self.remote_endpoint)):
-                raise RpcDeadlineError(
-                    f"chaos: heartbeat lost between {self.endpoint} and "
-                    f"{self.remote_endpoint}"
-                )
+        if _chaos.partitioned(self.endpoint, self.remote_endpoint):
+            raise RpcTransportError(
+                f"chaos: partition between {self.endpoint} and "
+                f"{self.remote_endpoint}")
+        if (method == PING_METHOD
+                and _chaos.heartbeat_lost(self.endpoint,
+                                          self.remote_endpoint)):
+            raise RpcDeadlineError(
+                f"chaos: heartbeat lost between {self.endpoint} and "
+                f"{self.remote_endpoint}")
 
-    @staticmethod
-    def _remaining(deadline_at):
-        if deadline_at is None:
-            return None
-        remaining = deadline_at - time.monotonic()
-        if remaining <= 0:
-            raise RpcDeadlineError("call deadline exceeded")
-        return remaining
-
-    def _apply_deadline(self, sock, deadline_at):
-        remaining = self._remaining(deadline_at)
-        if remaining is None:
-            sock.settimeout(self.timeout)
-        elif self.timeout is None or remaining < self.timeout:
-            sock.settimeout(remaining)
-        else:
-            sock.settimeout(self.timeout)
-
-    def _once(self, method, payload, deadline_at):
-        self._check_chaos(method)
-        sock, reused = self._checkout()
+    def _exchange_frames(self, connection, method, payload, deadline):
+        sock = connection.sock
         try:
-            return self._exchange(sock, method, payload, deadline_at)
-        except RpcTransportError:
-            if not reused:
-                raise
-            # The select() probe in _checkout is only a snapshot: a
-            # peer that died just before this call can pass it and
-            # reset the socket mid-exchange.  Like an HTTP keep-alive
-            # client, a request that failed on a REUSED connection is
-            # retried once on a fresh dial — independent of the
-            # ``retries`` knob, still inside the deadline.
-            self._remaining(deadline_at)
-            sock, _ = self._checkout()  # _drop() ran: dials fresh
-            return self._exchange(sock, method, payload, deadline_at)
-
-    def _exchange(self, sock, method, payload, deadline_at):
-        try:
-            self._apply_deadline(sock, deadline_at)
+            apply_deadline(sock, deadline, self.timeout)
             send_frame(sock, method.encode("utf-8") + b"\x00" + payload)
-            self._apply_deadline(sock, deadline_at)
+            apply_deadline(sock, deadline, self.timeout)
             reply = recv_frame(sock)
+            if deadline is not None:
+                sock.settimeout(self.timeout)  # the socket is pooled next
         except socket.timeout:
-            self._drop()
+            connection.close()
             raise RpcDeadlineError(
                 f"call {method!r} exceeded its deadline") from None
-        except RpcDeadlineError:
-            self._drop()
-            raise
         except (OSError, WireError) as exc:
-            self._drop()
+            connection.close()
             raise RpcTransportError(
                 f"transport failed calling {method!r}: {exc}") from None
         return self._decode(reply)
@@ -527,56 +251,30 @@ class RpcClient:
         text = detail.decode("utf-8", "replace")
         if kind == _KIND_UNKNOWN:
             raise RpcMethodNotFound(text)
-        return RpcClient._raise_handler_error(text)
-
-    @staticmethod
-    def _raise_handler_error(text):
         raise RpcHandlerError(text)
 
     def call(self, method, payload=b"", *, deadline=None):
         """One round trip; the reply body on success, typed errors else.
-
         ``deadline`` (seconds) overrides the client's ``call_deadline``
-        for this call.  Transport failures retry up to ``retries`` times
-        with exponential backoff — each attempt redials, so retries
-        bridge a server restart — but never past the deadline, and a
-        deadline expiry itself is terminal.
+        for this call; every method is retried when ``retries`` is set.
         """
-        limit = deadline if deadline is not None else self.call_deadline
-        deadline_at = (time.monotonic() + limit
-                       if limit is not None else None)
-        delay = self.backoff
+        # Taken before the lock: waiting for another caller's round trip
+        # spends this call's time too.
+        deadline_at = self._deadline(deadline)
         with self._lock:
-            for attempt in range(1 + self.retries):
-                try:
-                    return self._once(method, payload, deadline_at)
-                except RpcDeadlineError:
-                    raise
-                except RpcTransportError:
-                    if attempt >= self.retries:
-                        raise
-                    if deadline_at is not None:
-                        remaining = deadline_at - time.monotonic()
-                        if remaining <= 0:
-                            raise
-                        time.sleep(min(delay, remaining, 1.0))
-                    else:
-                        time.sleep(min(delay, 1.0))
-                    delay *= 2
+            return self._roundtrip(
+                lambda connection: self._exchange_frames(
+                    connection, method, payload, deadline_at),
+                deadline_at, retry=True,
+                before=lambda: self._check_chaos(method),
+            )
 
     def ping(self, *, deadline=None):
         """Heartbeat round trip; True when the serve loop answered."""
         return self.call(PING_METHOD, deadline=deadline) == b"pong"
 
-    def close(self):
-        self._drop()
-
     def __enter__(self):
         return self.connect()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
 
 
 def null_server():

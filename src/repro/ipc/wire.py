@@ -130,8 +130,18 @@ def recv_exact(sock, count, scratch=None):
     return bytes(buffer)
 
 
-def recv_frame(sock, scratch=None):
-    header = recv_exact(sock, 4, scratch)
+def recv_frame(sock, scratch=None, *, eof_ok=False):
+    """One frame's payload.  With ``eof_ok`` a clean EOF *between*
+    frames — a normal disconnect for a serving loop — returns None; an
+    EOF anywhere inside a frame is a :class:`WireError` regardless."""
+    if eof_ok:
+        header = sock.recv(4)
+        if not header:
+            return None
+        if len(header) < 4:
+            header += recv_exact(sock, 4 - len(header))
+    else:
+        header = recv_exact(sock, 4, scratch)
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME:
         raise WireError(f"frame too large: {length}")

@@ -35,7 +35,7 @@ from repro.fleet import (
 )
 from repro.fleet.coordinator import wait_until
 from repro.fleet.proto import decode_reply, encode_request
-from repro.ipc.ntrpc import RpcError
+from repro.ipc.ntrpc import RpcClient, RpcError
 from repro.testing.chaos import ChaosConfig, install
 from tests.fleet.conftest import retry_call
 
@@ -103,14 +103,16 @@ class TestPartition:
         with pytest.raises(TokenStaleError):
             coordinator.call(token, "echo", "stale")
         # The healed host still runs with the old epoch (it never heard
-        # the bump): push the broadcast as a re-admission would, then it
+        # the bump): push the broadcast as a re-admission would — over
+        # fresh clients, eviction closed the record's for good — then it
         # fails closed too.
-        record = coordinator._hosts[victim_id]
-        record.control.call("epoch", encode_request(
-            {"epoch": coordinator.epoch}))
-        with pytest.raises(TokenStaleError):
-            decode_reply(record.data.call("invoke", encode_request(
-                {"token": token, "method": "echo", "args": ["x"]})))
+        path = coordinator._hosts[victim_id].process.path
+        with RpcClient(path) as readmitted:
+            readmitted.call("epoch", encode_request(
+                {"epoch": coordinator.epoch}))
+            with pytest.raises(TokenStaleError):
+                decode_reply(readmitted.call("invoke", encode_request(
+                    {"token": token, "method": "echo", "args": ["x"]})))
 
     def test_dynamic_heal_restores_transport(self, fleet, chaos):
         """partition() and heal() act at the calling edge, so healing
@@ -244,5 +246,7 @@ class TestQuotaThroughChaos:
         after = coordinator.federation.totals()["acme"]
         for key, value in before.items():
             assert after.get(key, 0) >= value, (key, before, after)
-        with coordinator.federation._lock:
-            assert victim_id not in coordinator.federation._live
+        # Eviction flips the host to "dead" before it folds its slice.
+        assert wait_until(
+            lambda: victim_id not in coordinator.federation._live,
+            timeout=5)

@@ -34,10 +34,11 @@ class TestRepoIsClean:
 
     def test_every_source_knob_is_collected(self, doclint):
         knobs = doclint._knobs_in_source()
-        # The three transport knobs are load-bearing; losing them from
-        # the scan would silently gut the coverage check.
-        assert {"JK_LRMI_WIRE", "JK_LRMI_SHM_THRESHOLD",
-                "JK_CHAOS_PARTITION"} <= knobs
+        # These knobs are load-bearing; losing them from the scan would
+        # silently gut the coverage check.
+        assert {"JK_LRMI_SHM_THRESHOLD", "JK_CHAOS_PARTITION"} <= knobs
+        # Constants now, not knobs: nothing ever set them.
+        assert not {"JK_LRMI_WIRE", "JK_LRMI_RING_SIZE"} & knobs
 
     def test_exports_read_syntactically_match_runtime(self, doclint):
         import repro.core

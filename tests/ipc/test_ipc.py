@@ -63,6 +63,29 @@ class TestWire:
             recv_frame(b)
         b.close()
 
+    def test_clean_eof_between_frames_is_none_when_asked(self):
+        a, b = self._pair()
+        send_frame(a, b"last")
+        a.close()
+        try:
+            assert recv_frame(b, eof_ok=True) == b"last"
+            assert recv_frame(b, eof_ok=True) is None
+            with pytest.raises(WireError, match="closed"):
+                recv_frame(b)  # unasked, an EOF is always an error
+        finally:
+            b.close()
+
+    def test_eof_inside_a_frame_is_an_error_even_when_asked(self):
+        for partial in (b"\x00\x00", b"\x00\x00\x00\x10part"):
+            a, b = self._pair()
+            a.sendall(partial)  # mid-header, then mid-payload
+            a.close()
+            try:
+                with pytest.raises(WireError, match="closed"):
+                    recv_frame(b, eof_ok=True)
+            finally:
+                b.close()
+
     def test_oversized_frame_rejected(self):
         a, b = self._pair()
         try:

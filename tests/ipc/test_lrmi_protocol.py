@@ -158,6 +158,28 @@ class TestProtocolRoundTrips:
         assert "unit" in stats["domains"]
         assert harness.client.control("ping") == "pong"
 
+    def test_stats_reports_what_would_otherwise_be_swallowed(self, harness):
+        stats = harness.client.control("stats")
+        assert stats["connection_errors"] == 0
+        assert stats["ring_setup_failures"] == 0
+        assert stats["ring_close_failures"] == 0
+
+    def test_ring_setup_failure_is_counted_and_falls_back_inline(
+            self, harness, monkeypatch):
+        from repro.ipc import lrmi
+
+        def no_shared_memory(size):
+            raise OSError("no /dev/shm here")
+
+        monkeypatch.setattr(lrmi.BulkRing, "create", no_shared_memory)
+        big = b"r" * (lrmi.SHM_THRESHOLD + 1)
+        proxy = harness.lookup("unit")
+        assert proxy.echo(big) == big  # both directions, both inline
+        assert proxy.echo(big) == big  # a failed set-up is not retried
+        assert harness.client.ring_setup_failures.value == 1
+        stats = harness.client.control("stats")
+        assert stats["ring_setup_failures"] == 1
+
     def test_nested_callback_over_one_socket(self, harness):
         proxy = harness.lookup("unit")
         callback = _capability("cb")  # lives client-side
@@ -270,6 +292,24 @@ class TestWireRobustness:
         finally:
             a.close()
             b.close()
+
+    def test_serve_loop_tells_a_hang_up_from_a_truncated_frame(self):
+        """Between frames the peer simply left (pool eviction closes
+        without a BYE); inside one, the failure reaches the accept loop,
+        which counts it."""
+        from repro.ipc.lrmi import WireError
+
+        a, b = socket.socketpair()
+        a.close()
+        _Connection(b, _Peer(), dispatcher=lambda verb, args: None
+                    ).serve_loop()  # returns, raises nothing
+        a, b = socket.socketpair()
+        a.sendall((64).to_bytes(4, "big") + b"\x01trunc")
+        a.close()
+        conn = _Connection(b, _Peer(), dispatcher=lambda verb, args: None)
+        with pytest.raises(WireError, match="mid-frame"):
+            conn.serve_loop()
+        assert conn.closed
 
     def test_peer_base_requires_overrides(self):
         peer = _Peer()
@@ -393,6 +433,31 @@ class TestDomainClientEdges:
             assert proxy.revoked
             with pytest.raises(RevokedException):
                 proxy.ping()
+        finally:
+            client.close()
+            host.stop()
+
+    def test_host_counts_truncated_frames_not_clean_disconnects(self):
+        import time
+
+        host, client = self._world()
+        try:
+            assert client.lookup("unit").ping() == 7
+            client.close()  # BYE, then EOF between frames
+            other = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            other.connect(host.path)
+            other.close()   # no BYE: what a pool eviction looks like
+            client = type(client)(host.path)
+            assert client.stats()["connection_errors"] == 0
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.connect(host.path)
+            raw.sendall((64).to_bytes(4, "big") + b"\x01trunc")
+            raw.close()
+            deadline = time.monotonic() + 5.0
+            while (client.stats()["connection_errors"] == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert client.stats()["connection_errors"] == 1
         finally:
             client.close()
             host.stop()

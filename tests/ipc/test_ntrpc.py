@@ -5,9 +5,11 @@ PR 6 left ntrpc a Table 2 prototype: ``_serve_connection`` swallowed
 leaked the bound socket path, and the client had no deadlines, no
 retry, no liveness.  This suite pins the hardened behaviour the fleet
 coordinator depends on: typed errors for every failure mode, whole-call
-deadlines that expire instead of hanging, checkout health + bounded
-retry bridging a server restart, built-in heartbeat, graceful stop, and
-stale-socket recovery on bind.
+deadlines that expire instead of hanging, bounded retry bridging a
+server-process restart, built-in heartbeat, graceful stop, and
+stale-socket recovery on bind.  The failure handling ntrpc shares with
+the LRMI client (checkout eviction, fresh-dial replay, back-off) is
+pinned for both in ``test_transport.py``.
 """
 
 import os
@@ -213,6 +215,31 @@ class TestDeadlines:
             release.set()
             server.stop()
 
+    def test_waiting_for_the_shared_socket_spends_the_deadline(
+            self, tmp_path):
+        """Calls on one client are serialized; the wait for another
+        caller's round trip counts against this call's deadline."""
+        seen = []
+
+        def slow(payload):
+            time.sleep(0.5)
+            return b"done"
+
+        server, _ = _threaded_server(
+            tmp_path, {"slow": slow, "fast": seen.append})
+        try:
+            client = RpcClient(server.path)
+            first = threading.Thread(target=client.call, args=("slow",))
+            first.start()
+            time.sleep(0.1)  # the slow call now holds the socket
+            with pytest.raises(RpcDeadlineError):
+                client.call("fast", deadline=0.2)
+            first.join(5.0)
+            assert not first.is_alive()
+            assert seen == []  # expired before it was ever sent
+        finally:
+            server.stop()
+
     def test_invalid_call_deadline_rejected_at_construction(self):
         with pytest.raises(ValueError):
             RpcClient("/nonexistent", call_deadline=0)
@@ -247,48 +274,6 @@ class TestRetryAndCheckout:
             server.kill()
             with pytest.raises(RpcTransportError):
                 client.call("echo", b"b")
-
-    def test_checkout_redials_a_dead_pooled_socket(self, tmp_path):
-        """EOF on an idle pooled socket means the peer died; the next
-        call must redial, not fail on the corpse."""
-        path = str(tmp_path / "restart.sock")
-        server, _ = _threaded_server(tmp_path, {"echo": lambda p: p},
-                                     name="restart.sock")
-        client = RpcClient(path)
-        assert client.call("echo", b"a") == b"a"
-        server.stop()  # client's pooled socket is now readable (EOF)
-
-        server2, _ = _threaded_server(tmp_path, {"echo": lambda p: p},
-                                      name="restart.sock")
-        try:
-            assert client.call("echo", b"b") == b"b"
-        finally:
-            server2.stop()
-
-    def test_reused_socket_reset_retries_on_a_fresh_dial(
-            self, tmp_path, monkeypatch):
-        """The checkout probe is only a snapshot: a peer that died just
-        before the call can pass it and reset the socket mid-exchange.
-        The call must retry once on a fresh dial (keep-alive style) —
-        independent of the ``retries`` knob — not surface the corpse's
-        ECONNRESET."""
-        from repro.ipc import ntrpc
-
-        server, _ = _threaded_server(tmp_path, {"echo": lambda p: p},
-                                     name="restart.sock")
-        client = RpcClient(server.path)  # retries=0
-        assert client.call("echo", b"a") == b"a"
-        server.stop()
-        server2, _ = _threaded_server(tmp_path, {"echo": lambda p: p},
-                                      name="restart.sock")
-        # Blind the probe so checkout hands back the dead pooled
-        # socket as if it were healthy — the losing side of the race.
-        monkeypatch.setattr(ntrpc.select, "select",
-                            lambda r, w, x, t=0: ([], [], []))
-        try:
-            assert client.call("echo", b"b") == b"b"
-        finally:
-            server2.stop()
 
 
 class TestHeartbeat:
