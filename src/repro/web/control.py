@@ -32,28 +32,48 @@ from repro.core.accounting import ShardedCounter
 from repro.core.quota import HARD, get_quota_manager
 
 
+#: A latency snapshot is re-sorted once one part in this many of the
+#: samples it held has been overwritten.
+_SNAPSHOT_REFRESH = 8
+
+
 class LatencyTracker:
     """Fixed-size ring of service-time samples (microseconds).
 
     ``note`` is lock-free: the slot index comes from an atomic counter
     and the list store is a single C-level op, so the per-request cost
-    is two attribute loads and a store.  Percentile reads snapshot the
-    ring — approximate under concurrent writes, which is exactly what a
-    load signal needs.
+    is three attribute loads and two stores.  Percentile reads come from
+    a sorted snapshot of the ring that is rebuilt once the write count
+    has moved by an eighth of what the snapshot held (every write while
+    the ring is nearly empty, every ``size / 8`` writes once it is
+    full), so a read costs one index, not one sort — approximate under
+    concurrent writes and up to an eighth of a ring stale, which is
+    exactly what a load signal needs.
     """
 
-    __slots__ = ("_ring", "_size", "_next")
+    __slots__ = ("_ring", "_size", "_next", "_written", "_snapshot")
 
     def __init__(self, size=2048):
         self._ring = [None] * size
         self._size = size
         self._next = itertools.count().__next__
+        self._written = 0
+        self._snapshot = (0, ())  # (write count it was taken at, sorted)
 
     def note(self, us):
-        self._ring[self._next() % self._size] = us
+        index = self._next()
+        self._ring[index % self._size] = us
+        # Racing writers may store these out of order; the count is only
+        # a staleness signal and the next write corrects it.
+        self._written = index + 1
 
     def percentile(self, fraction):
-        samples = sorted(s for s in self._ring if s is not None)
+        written = self._written
+        taken_at, samples = self._snapshot
+        if written - taken_at >= max(
+                1, min(taken_at, self._size) // _SNAPSHOT_REFRESH):
+            samples = sorted(s for s in self._ring if s is not None)
+            self._snapshot = (written, samples)
         if not samples:
             return 0.0
         index = min(len(samples) - 1, int(len(samples) * fraction))
@@ -83,15 +103,24 @@ def default_classifier(path):
 
 
 class AdmissionDecision:
-    """The parse-boundary verdict for one request."""
+    """The parse-boundary verdict for one request.
 
-    __slots__ = ("admitted", "tenant", "retry_after", "reason")
+    ``weight`` is the admitted tenant's effective weight — its
+    configured weight, scaled by ``deprioritized_fraction`` while the
+    tenant is throttled: the number that sized its fair share here and
+    that orders its request in the worker pool's queue, so shedding and
+    queueing cannot disagree about who is favoured.
+    """
 
-    def __init__(self, admitted, tenant, retry_after=None, reason="ok"):
+    __slots__ = ("admitted", "tenant", "retry_after", "reason", "weight")
+
+    def __init__(self, admitted, tenant, retry_after=None, reason="ok",
+                 weight=1.0):
         self.admitted = admitted
         self.tenant = tenant
         self.retry_after = retry_after
         self.reason = reason
+        self.weight = weight
 
     def __repr__(self):
         verdict = "admit" if self.admitted else f"shed({self.reason})"
@@ -204,13 +233,14 @@ class AdmissionController:
                 self.shed.add(1)
                 return AdmissionDecision(False, key, self.retry_after_s,
                                          "at-capacity")
+            # One scale factor drives both the fair share below and the
+            # weight the worker pool queues the admitted request by.
+            scale = self.deprioritized_fraction if deprioritized else 1.0
             pressured = (total >= self.max_inflight * self.shed_threshold
                          or self.latency.p99_ms() > self.slo_ms)
             if pressured:
                 share = (tenant.weight / max(self._total_weight, 1e-9)
-                         ) * self.max_inflight
-                if deprioritized:
-                    share *= self.deprioritized_fraction
+                         ) * self.max_inflight * scale
                 if tenant.in_flight >= max(share, 1.0):
                     tenant.shed += 1
                     self.shed.add(1)
@@ -218,11 +248,12 @@ class AdmissionController:
                               else "over-fair-share")
                     return AdmissionDecision(False, key,
                                              self.retry_after_s, reason)
+            weight = tenant.weight * scale
             tenant.in_flight += 1
             tenant.admitted += 1
             self._total_inflight = total + 1
         self.admitted.add(1)
-        return AdmissionDecision(True, key)
+        return AdmissionDecision(True, key, weight=weight)
 
     def finish(self, tenant_key, latency_us=None):
         """One admitted request completed (its response slot is ready)."""

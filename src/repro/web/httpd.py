@@ -26,6 +26,7 @@ connections).
 
 from __future__ import annotations
 
+import heapq
 import selectors
 import socket
 import threading
@@ -261,25 +262,52 @@ class _PoolTask:
         self.loop.post(("complete", self.conn, self.slot, payload))
 
 
+#: The smallest weight the pool queues by: a zero, negative or NaN weight
+#: means "least favoured", not a division by zero.
+_MIN_WEIGHT = 1e-6
+
+
 class DomainWorkerPool:
     """Bounded thread pool executing extension handlers off the loops.
 
     ``submit`` refuses (returns False) when the queue is at capacity or
     the pool is stopped — the caller answers 503, so a stuck servlet
     cannot queue work unboundedly.
+
+    The queue is start-time fair across tenants: every task costs
+    ``1 / weight`` of virtual time, a task is tagged with the later of
+    the pool's virtual time and its tenant's previous finish tag, and
+    workers run the smallest tag first (arrival order breaking ties).
+    One tenant — every caller that names none — is therefore served in
+    exactly arrival order; a tenant's own tasks never overtake each
+    other; a backlogged tenant cannot hold a neighbour's task behind
+    more than the tasks already on a worker; and a tenant that was idle
+    comes back at the pool's virtual time, with no credit saved up.
+    Nothing is preempted and no service time is estimated.
     """
 
     def __init__(self, workers=2, capacity=128, name="httpd-pool"):
         self.workers = workers
         self.capacity = capacity
         self.name = name
-        self._queue = deque()
+        self._heap = []  # (start tag, arrival number, task, tenant)
+        self._arrivals = 0
+        self._vtime = 0.0
+        # tenant -> finish tag of its latest task.  A tag that virtual
+        # time has passed means nothing (submit takes the later of the
+        # two), so the map is emptied whenever the pool goes idle and
+        # pruned to the tenants with queued work before it can outgrow
+        # ``capacity`` — its size never follows the number of tenant
+        # names a client can invent.
+        self._finish = {}
+        self._idle = 0
         self._not_empty = threading.Condition(threading.Lock())
         self._threads = []
         self._running = False
         self.submitted = ShardedCounter()
         self.rejected = ShardedCounter()
         self.completed = ShardedCounter()
+        self.failed = ShardedCounter()
 
     def start(self):
         with self._not_empty:
@@ -298,12 +326,23 @@ class DomainWorkerPool:
     def running(self):
         return self._running
 
-    def submit(self, task):
+    def submit(self, task, tenant=None, weight=1.0):
         with self._not_empty:
-            if not self._running or len(self._queue) >= self.capacity:
+            if not self._running or len(self._heap) >= self.capacity:
                 self.rejected.add(1)
                 return False
-            self._queue.append(task)
+            finish = self._finish
+            if len(finish) >= self.capacity and tenant not in finish:
+                queued = {entry[3] for entry in self._heap}
+                finish = self._finish = {
+                    key: tag for key, tag in finish.items() if key in queued
+                }
+            start = max(self._vtime, finish.get(tenant, 0.0))
+            finish[tenant] = start + 1.0 / (
+                weight if weight > _MIN_WEIGHT else _MIN_WEIGHT)
+            self._arrivals += 1
+            heapq.heappush(self._heap,
+                           (start, self._arrivals, task, tenant))
             self._not_empty.notify()
         self.submitted.add(1)
         return True
@@ -311,13 +350,19 @@ class DomainWorkerPool:
     def _run(self):
         while True:
             with self._not_empty:
-                while self._running and not self._queue:
+                while self._running and not self._heap:
+                    self._idle += 1
+                    if self._idle == self.workers:
+                        # Nothing queued and nothing running: there is
+                        # nobody left to be fair to.
+                        self._finish.clear()
+                        self._vtime = 0.0
                     self._not_empty.wait(0.5)
-                if not self._queue:
-                    if not self._running:
-                        return
-                    continue
-                task = self._queue.popleft()
+                    self._idle -= 1
+                if not self._heap:
+                    return
+                start, _, task, _ = heapq.heappop(self._heap)
+                self._vtime = start
             try:
                 task()
             except Exception:
@@ -325,13 +370,14 @@ class DomainWorkerPool:
                 # would shrink one crash at a time until every pooled
                 # request got 503.  (_PoolTask already degrades handler
                 # and formatting errors to 500 responses itself.)
-                pass
+                self.failed.add(1)
             self.completed.add(1)
 
     def stop(self, timeout=5.0):
         with self._not_empty:
             self._running = False
-            self._queue.clear()
+            self._heap.clear()
+            self._finish.clear()
             self._not_empty.notify_all()
         for thread in self._threads:
             thread.join(timeout)
@@ -342,6 +388,8 @@ class DomainWorkerPool:
             "submitted": self.submitted.value,
             "completed": self.completed.value,
             "rejected": self.rejected.value,
+            "failed": self.failed.value,
+            "queued": len(self._heap),
         }
 
 
@@ -407,6 +455,7 @@ class _EventLoop(threading.Thread):
         self._inbox_lock = threading.Lock()
         self.connections = set()
         self.cache = ResponseCache(server.cache_size)
+        self._unavailable_payloads = {}  # loop-thread only, like the cache
         self._running = True
         self._served_cell = None
 
@@ -658,22 +707,18 @@ class _EventLoop(threading.Thread):
         # exactly one preformatted 503 here — no extension match, no
         # pool hand-off, no domain crossing.
         admission = server.admission
+        weight = 1.0
         if admission is not None:
             decision = admission.decide(request.path)
             if not decision.admitted:
-                retry = max(1, int(decision.retry_after or 1))
-                slot.payload = format_response(
-                    Response(503,
-                             {"Content-Type": "text/plain",
-                              "Retry-After": str(retry)},
-                             f"overloaded: {decision.reason}".encode(
-                                 "latin-1")),
-                    keep, version,
-                )
+                slot.payload = self._unavailable(
+                    decision.reason, max(1, int(decision.retry_after or 1)),
+                    keep, version)
                 slot.ready = True
                 return
             slot.tenant = decision.tenant
             slot.t_start = time.monotonic()
+            weight = decision.weight
 
         entry = server._match_extension(request.path)
         if entry is not None:
@@ -712,12 +757,8 @@ class _EventLoop(threading.Thread):
                 slot.ready = True
                 self._finish_slot(slot)
             elif not pool.submit(_PoolTask(self, conn, slot, handler,
-                                           request)):
-                slot.payload = format_response(
-                    Response(503, {"Content-Type": "text/plain"},
-                             b"server busy"),
-                    keep, version,
-                )
+                                           request), slot.tenant, weight):
+                slot.payload = self._unavailable(None, None, keep, version)
                 slot.ready = True
                 self._finish_slot(slot)
             return
@@ -748,6 +789,29 @@ class _EventLoop(threading.Thread):
         slot.payload = payload
         slot.ready = True
         self._finish_slot(slot)
+
+    def _unavailable(self, reason, retry, keep, version):
+        """The 503 for a request shed at admission (``reason``, with
+        ``Retry-After: retry``) or refused by a full pool (both None),
+        formatted once per distinct answer and reused after that."""
+        key = (reason, retry, keep, version)
+        payload = self._unavailable_payloads.get(key)
+        if payload is None:
+            if reason is None:
+                response = Response(503, {"Content-Type": "text/plain"},
+                                    b"server busy")
+            else:
+                response = Response(
+                    503, {"Content-Type": "text/plain",
+                          "Retry-After": str(retry)},
+                    f"overloaded: {reason}".encode("latin-1"))
+            payload = format_response(response, keep, version)
+            if len(self._unavailable_payloads) >= 64:
+                # Reasons come from the admission object, which a caller
+                # may supply: a handful in practice, bounded regardless.
+                self._unavailable_payloads.clear()
+            self._unavailable_payloads[key] = payload
+        return payload
 
     def _reject(self, conn, exc):
         """Malformed input: answer with the error status, then close."""
@@ -850,11 +914,14 @@ class _EventLoop(threading.Thread):
             except (KeyError, ValueError, OSError):
                 pass
             conn.mask = 0
+        # Out of the live set BEFORE the socket closes: the peer sees EOF
+        # the instant close() runs, and whoever it tells must not find
+        # live_connections() still counting this connection.
+        self.connections.discard(conn)
         try:
             conn.sock.close()
         except OSError:
             pass
-        self.connections.discard(conn)
 
     def _cleanup(self):
         # First thing: stop accepting cross-thread work.  A loop dying

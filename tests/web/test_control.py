@@ -41,6 +41,28 @@ class TestLatencyTracker:
             tracker.note(5)
         assert tracker.sample_count() == 4
 
+    def test_reads_between_refreshes_do_not_sort(self):
+        """A full ring is re-sorted once an eighth of it has been
+        overwritten, not on every read: a read in between returns the
+        snapshot's answer, the one after the eighth sees the new data."""
+        tracker = LatencyTracker(size=64)
+        for _ in range(64):
+            tracker.note(1_000)
+        assert tracker.p99_ms() == 1.0
+        for _ in range(7):  # short of 64 / 8 writes: still the snapshot
+            tracker.note(9_000)
+            assert tracker.p99_ms() == 1.0
+        tracker.note(9_000)
+        assert tracker.p99_ms() == 9.0
+        assert tracker.p50_ms() == 1.0
+
+    def test_a_nearly_empty_ring_is_never_stale(self):
+        tracker = LatencyTracker()
+        assert tracker.p99_ms() == 0.0  # snapshot taken of nothing
+        for count, us in enumerate((4_000, 2_000, 8_000), start=1):
+            tracker.note(us)
+            assert tracker.p99_ms() == max((4, 2, 8)[:count])
+
 
 class TestClassifier:
     @pytest.mark.parametrize("path,tenant", [
@@ -136,6 +158,30 @@ class TestAdmissionController:
         assert controller.decide("/servlet/throttled/x").admitted
         _drain(controller, held)
         controller.finish("/throttled")
+
+    def test_decision_carries_the_weight_that_sized_the_share(self):
+        """The admitted tenant's effective weight rides the decision, so
+        the worker pool queues by the number admission shed by: the
+        configured weight, times ``deprioritized_fraction`` while the
+        tenant is throttled."""
+        controller = AdmissionController(
+            max_inflight=16, shed_threshold=0.0,
+            deprioritized_fraction=0.25, weights={"/gold": 3.0})
+        self._register(controller, "/gold", "/lead")  # total weight 4
+        gold = controller.decide("/servlet/gold/x")
+        lead = controller.decide("/servlet/lead/x")
+        assert (gold.weight, lead.weight) == (3.0, 1.0)
+        controller.set_deprioritized("/gold")
+        throttled = controller.decide("/servlet/gold/x")
+        assert throttled.weight == 0.75
+        # ...and that is the weight its share was cut by: 0.75 of a
+        # total 4 over a bound of 16 is three in flight, two of them
+        # held already.
+        third = controller.decide("/servlet/gold/x")
+        assert third.admitted and third.weight == 0.75
+        shed = controller.decide("/servlet/gold/x")
+        assert not shed.admitted and shed.reason == "deprioritized"
+        _drain(controller, [gold, lead, throttled, third])
 
     def test_quota_hard_sheds_at_the_door(self):
         quota = QuotaManager()
