@@ -10,15 +10,14 @@ import pytest
 
 from repro.bench.paper import TABLE2
 from repro.bench.table import format_table
-from repro.ipc import (
+from repro.bench.baselines.com import (
     IN_PROC,
     OUT_OF_PROC,
     ComInterface,
     ComRegistry,
-    RpcClient,
     create_instance,
-    null_server,
 )
+from repro.ipc import RpcClient, null_server
 
 
 class _NullComponent:

@@ -8,8 +8,8 @@ Public API highlights (see README.md):
 * ``repro.jkvm`` — the J-Kernel on the MiniJVM (enforced path);
 * ``repro.web`` — the extensible HTTP server of §4;
 * ``repro.toolchain`` — the CS314 Jr compiler / assembler / linker;
-* ``repro.ipc`` — the Table 2 OS IPC baselines;
-* ``repro.bench`` — regenerates every table of the evaluation.
+* ``repro.ipc`` — local RPC and the cross-process LRMI transport;
+* ``repro.bench`` — paper-shape fixtures and the COM / JWS comparators.
 """
 
 from .core import (

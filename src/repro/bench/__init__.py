@@ -1,5 +1,7 @@
-"""Measurement harness: timers, the paper's reported numbers, workload
-fixtures and the table runner (``python -m repro.bench.runner``)."""
+"""Paper-shape fixtures: timers, the paper's reported numbers, table
+rendering, one workload fixture per paper table, and the comparators
+the paper measures against (``baselines``).  ``benchmarks/test_table*.py``
+assert shapes on these; performance is measured by ``benchmarks/jkbench``."""
 
 from . import paper
 from .table import format_table
@@ -10,7 +12,6 @@ from .workloads import (
     Table1Fixture,
     Table3Fixture,
     Table4Fixture,
-    Table5Fixture,
     Table6Fixture,
     TypedChunk,
     build_iis,
@@ -28,13 +29,11 @@ __all__ = [
     "Table1Fixture",
     "Table3Fixture",
     "Table4Fixture",
-    "Table5Fixture",
     "Table6Fixture",
     "TypedChunk",
     "build_iis",
     "build_iis_jkernel",
     "build_jws",
-    "format_table",
     "make_documents",
     "measure",
     "measure_batch",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 
-from .ntrpc import RpcClient, RpcError, RpcServerProcess
+from repro.ipc.ntrpc import RpcClient, RpcError, RpcServerProcess
 
 IN_PROC = "in-proc"
 OUT_OF_PROC = "out-of-proc"

@@ -42,6 +42,7 @@ from repro.jvm.instructions import (
     ISUB,
     NEWARRAY,
 )
+from repro.web.httpd import ACCEPT_STOP, accept_next
 
 HANDLER = "jws/Handler"
 
@@ -323,8 +324,6 @@ class JWSServer:
         return self
 
     def _accept_loop(self):
-        from .httpd import ACCEPT_STOP, accept_next
-
         while self._running:
             conn = accept_next(self._listener, lambda: self._running)
             if conn is None:

@@ -1,9 +1,10 @@
 """Benchmark fixtures: one builder per paper table.
 
 Each fixture packages the workload (guest classes, domains, capabilities,
-servers) plus measurement methods returning µs/op or pages/sec.  Both the
-pytest-benchmark suite (``benchmarks/``) and the table runner
-(``repro.bench.runner``) build on these.
+servers) plus measurement methods returning µs/op or pages/sec, for the
+paper-shape assertions of the pytest-benchmark suite
+(``benchmarks/test_table*.py``).  Performance itself is measured by
+``benchmarks/jkbench``, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -422,15 +423,6 @@ class Table4Fixture:
         result = measure(lambda: capability.take(payload), min_time=min_time)
         return result.us_per_op
 
-    def rows(self):
-        table = {}
-        for shape in self.SHAPES:
-            table[shape] = (
-                self.copy_us(shape, "serial"),
-                self.copy_us(shape, "fast"),
-            )
-        return table
-
 
 # -- Table 5 servers ------------------------------------------------------------
 
@@ -479,7 +471,7 @@ def build_iis_jkernel(workers=None):
 
 
 def build_jws(profile="sunvm"):
-    from repro.web import JWSServer
+    from .baselines.jws import JWSServer
 
     return JWSServer(make_documents(), profile=profile)
 
@@ -502,7 +494,6 @@ class _XSink(Remote):
 
     def nop(self): ...
     def take(self, value): ...
-    def take_region(self, region): ...
 
 
 class _XSinkImpl(_XSink):
@@ -511,12 +502,6 @@ class _XSinkImpl(_XSink):
 
     def take(self, value):
         return 0
-
-    def take_region(self, region):
-        # A validated header read, no byte copy: the grant-model claim
-        # is that the BYTES need not cross again, so the benchmark
-        # measures grant + attach + validate, not a hidden memcpy.
-        return len(region) if region.revoked is False else -1
 
 
 def _xsink_setup():
@@ -536,8 +521,7 @@ class Table6Fixture:
     measures that against our own out-of-process tier: the same
     capability call (null and 1000-byte payload) through the in-process
     compiled stub and through the cross-process marshalling proxy, plus
-    the serving-layer consequence — pages/second of the prefork tier at
-    1, 2 and 4 worker processes.
+    the serving-layer consequence — pages/second of the prefork tier.
     """
 
     def __init__(self):
@@ -563,20 +547,11 @@ class Table6Fixture:
         for _ in range(20):
             self.inproc_cap.take(warm_chunk)
             self.xproc_cap.take(warm_chunk)
-        # Sealed-region leg: one 64KiB region sealed ONCE, granted per
-        # call — steady state is a cached host-side attachment, so the
-        # measured cost is the grant descriptor + header validation.
-        from repro.core.regions import seal
-
-        self._region_64k = seal(b"\xa5" * 65536)
-        for _ in range(20):
-            self.xproc_cap.take_region(self._region_64k)
 
     def close(self):
         self.client.close()
         self.host.stop()
         self.domain.terminate()
-        self._region_64k.revoke()
 
     def __enter__(self):
         return self
@@ -604,43 +579,22 @@ class Table6Fixture:
             lambda: self.xproc_cap.take(payload), min_time=min_time
         ).us_per_op
 
-    def xproc_sealed_64k_us(self, min_time=0.05):
-        """A 64KiB sealed region granted cross-process per call: the
-        bytes cross zero times (one seal at fixture setup), only the
-        generation-checked grant descriptor rides the wire."""
-        region = self._region_64k
-        return measure(
-            lambda: self.xproc_cap.take_region(region), min_time=min_time
-        ).us_per_op
-
-    def inproc_fastcopy_64k_us(self, min_time=0.05):
-        """In-process fast-copy cost for the same 64KiB of structured
-        payload (the Table 4 machinery the grant model is gated
-        against): a declared-field carrier deep-copied across the
-        in-process boundary per call."""
-        payload = TypedChunk.of_size(65536)
-        return measure(
-            lambda: self.inproc_cap.take(payload), min_time=min_time
-        ).us_per_op
-
     # -- prefork serving ---------------------------------------------------
     @staticmethod
     def _prefork_app():
         """Runs in each prefork child: exactly the Table 5 J-Kernel
         configuration (same documents, same servlets), sized to one
         event loop per process — so the prefork numbers compare
-        apples-to-apples against `http_pages_per_sec_jk_*`."""
+        apples-to-apples against Table 5's IIS+J-K column."""
         return build_iis_jkernel(workers=1)
 
     @staticmethod
-    def prefork_pages_per_sec(workers, clients=4, requests_per_client=150,
-                              reuse_port=None):
+    def prefork_pages_per_sec(workers, clients=4, requests_per_client=150):
         """Pages/second of the J-Kernel servlet path served by a prefork
         fleet of ``workers`` processes."""
         from repro.web import PreforkServer, measure_throughput
 
-        master = PreforkServer(Table6Fixture._prefork_app,
-                               workers=workers, reuse_port=reuse_port)
+        master = PreforkServer(Table6Fixture._prefork_app, workers=workers)
         master.start()
         try:
             return measure_throughput(
@@ -650,115 +604,3 @@ class Table6Fixture:
             )
         finally:
             master.stop()
-
-    def measure(self, prefork_workers=(1, 2, 4)):
-        """The full Table 6 shape for the snapshot."""
-        inproc_null = self.inproc_null_us()
-        xproc_null = self.xproc_null_us()
-        inproc_1000 = self.inproc_1000b_us()
-        xproc_1000 = self.xproc_1000b_us()
-        sealed_64k = self.xproc_sealed_64k_us()
-        fastcopy_64k = self.inproc_fastcopy_64k_us()
-        prefork = {
-            workers: self.prefork_pages_per_sec(workers)
-            for workers in prefork_workers
-        }
-        return {
-            "inproc_null_us": inproc_null,
-            "xproc_null_us": xproc_null,
-            "inproc_1000b_us": inproc_1000,
-            "xproc_1000b_us": xproc_1000,
-            "xproc_sealed_64k_us": sealed_64k,
-            "inproc_fastcopy_64k_us": fastcopy_64k,
-            "prefork_pages_per_sec": prefork,
-            "xproc_over_inproc_null": xproc_null / max(inproc_null, 1e-9),
-            "xproc_over_inproc_1000b": xproc_1000 / max(inproc_1000, 1e-9),
-            "sealed_64k_over_fastcopy": sealed_64k / max(fastcopy_64k, 1e-9),
-        }
-
-
-class Table5Fixture:
-    """Socket-level Table 5 load harness.
-
-    Builds the native server (documents + response cache), the J-Kernel
-    configuration (same native server, per-servlet domains behind the
-    LRMI fast path) and the interpreted JWS, then measures pages/second
-    with concurrent keep-alive clients sending browser-shaped requests.
-
-    Native and J-Kernel throughput are sampled in *interleaved pairs*
-    and the reported shape ratio is the median of per-pair ratios: the
-    two columns see the same machine mood seconds apart, so host-speed
-    drift (CPU quota, syscall cost) cancels out of the ratio even when
-    it moves the absolute numbers.
-    """
-
-    def __init__(self, clients=8, requests_per_client=120, jws_requests=25,
-                 pairs=3, warmup=8):
-        self.clients = clients
-        self.requests_per_client = requests_per_client
-        self.jws_requests = jws_requests
-        self.pairs = pairs
-        self.warmup = warmup
-        self.jk = build_iis_jkernel()
-        self.native = self.jk.server  # one server, two request paths
-        self.jws = build_jws()
-
-    def start(self):
-        self.native.start()
-        self.jws.start()
-        return self
-
-    def close(self):
-        self.jk.stop()
-        self.jws.stop()
-
-    def _sample(self, port, path, requests):
-        from repro.web import measure_throughput
-
-        return measure_throughput(
-            "127.0.0.1", port, path, self.clients, requests,
-            warmup=self.warmup, headers=BROWSER_HEADERS,
-        )
-
-    def measure(self):
-        """Pages/second per page size and the derived shape ratios."""
-        import statistics
-
-        native = {}
-        jkernel = {}
-        jws = {}
-        ratios = []
-        for size in PAGE_SIZES:
-            doc = f"/doc{size}"
-            native_samples = []
-            jk_samples = []
-            for pair in range(self.pairs):
-                # Alternate which column goes first so a monotone host
-                # speed drift within a pair cannot bias the ratio.
-                columns = [
-                    (native_samples, doc),
-                    (jk_samples, "/servlet" + doc),
-                ]
-                if pair % 2:
-                    columns.reverse()
-                for samples, path in columns:
-                    samples.append(self._sample(
-                        self.native.port, path, self.requests_per_client))
-            native[size] = statistics.median(native_samples)
-            jkernel[size] = statistics.median(jk_samples)
-            ratios.extend(
-                jk / max(n, 1e-9)
-                for n, jk in zip(native_samples, jk_samples)
-            )
-            jws[size] = self._sample(self.jws.port, doc, self.jws_requests)
-        jk_over_native = statistics.median(ratios)
-        iis_over_jws = statistics.median(
-            native[size] / max(jws[size], 1e-9) for size in PAGE_SIZES
-        )
-        return {
-            "native": native,
-            "jws": jws,
-            "jkernel": jkernel,
-            "jk_over_native": jk_over_native,
-            "iis_over_jws": iis_over_jws,
-        }

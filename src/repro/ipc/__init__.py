@@ -1,19 +1,8 @@
-"""OS IPC substrate: local RPC between real processes, a COM-like
-component model with in-proc and out-of-proc activation (Table 2), and
-the cross-process LRMI transport that deploys whole J-Kernel domains
-out-of-process behind marshalling capability proxies."""
+"""OS IPC substrate: local RPC between real processes (Table 2's
+NT-RPC row) and the cross-process LRMI transport that deploys whole
+J-Kernel domains out-of-process behind marshalling capability proxies.
+Table 2's COM comparator lives in ``repro.bench.baselines.com``."""
 
-from .com import (
-    IN_PROC,
-    OUT_OF_PROC,
-    ComError,
-    ComHost,
-    ComInterface,
-    ComRegistry,
-    InterfacePointer,
-    connect_proxy,
-    create_instance,
-)
 from .lrmi import (
     DomainClient,
     DomainHostProcess,
@@ -38,16 +27,9 @@ from .ntrpc import (
 from .wire import WireError, recv_frame, send_frame
 
 __all__ = [
-    "ComError",
-    "ComHost",
-    "ComInterface",
-    "ComRegistry",
     "DomainClient",
     "DomainHostProcess",
     "ExportTable",
-    "IN_PROC",
-    "InterfacePointer",
-    "OUT_OF_PROC",
     "PING_METHOD",
     "ProtocolError",
     "RemoteCapability",
@@ -61,8 +43,6 @@ __all__ = [
     "RpcTransportError",
     "WireError",
     "connect",
-    "connect_proxy",
-    "create_instance",
     "exported_methods",
     "null_server",
     "recv_frame",

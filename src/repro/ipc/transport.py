@@ -167,6 +167,9 @@ class EndpointProcess:
 
     def __init__(self, path, label, serve, *, error, reclaim=None):
         self.path = path
+        # What stop() unlinks: the path the last start() bound, so a
+        # ``path`` reassigned while the child runs cannot orphan its file.
+        self._bound_path = path
         self.start_error = error
         self._label = label
         self._serve = serve
@@ -180,6 +183,7 @@ class EndpointProcess:
         # Restart-in-place after a crash: the dead child's socket file
         # survives it and would make the new child's bind fail.
         _unlink(self.path)
+        self._bound_path = self.path
         parent_pid = os.getpid()
         pid = os.fork()
         if pid == 0:
@@ -253,7 +257,7 @@ class EndpointProcess:
         pid, self._spawned_pid = self._spawned_pid, None
         if pid is not None and self._reclaim is not None:
             self._reclaim(pid)
-        _unlink(self.path)
+        _unlink(self._bound_path)
 
     def __enter__(self):
         return self.start()

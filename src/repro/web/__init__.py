@@ -1,4 +1,5 @@
-"""The extensible HTTP server stack (paper §4, Table 5)."""
+"""The extensible HTTP server stack (paper §4, Table 5).  Table 5's JWS
+comparator lives in ``repro.bench.baselines.jws``."""
 
 from .client import (
     LoadReport,
@@ -33,7 +34,6 @@ from .jkweb import (
     SystemServlet,
 )
 from .prefork import PreforkError, PreforkServer, WorkerHandle
-from .jws import JWSServer
 from .servlet import (
     Servlet,
     ServletRequest,
@@ -48,7 +48,6 @@ __all__ = [
     "HttpError",
     "IsapiBridge",
     "JKernelWebServer",
-    "JWSServer",
     "LoadReport",
     "NativeHttpServer",
     "OutOfProcessRegistration",

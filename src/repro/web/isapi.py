@@ -9,12 +9,10 @@ objects and forwards them to the system servlet.  In the paper's
 architecture that crossing is a JNI call from native code into *trusted*
 J-Kernel kernel code — the system servlet is kernel infrastructure, not
 an isolated user domain — and the LRMI domain crossing happens where the
-protection boundary actually is: system servlet → user servlet.  The
-default configuration models exactly that (``system`` is the
-:class:`~repro.web.jkweb.SystemServlet` itself, called host-side); pass
-the system *capability* instead to reproduce the seed's stricter
-double-LRMI accounting, where even the bridge→system hop pays a full
-domain crossing (``JKernelWebServer(system_lrmi=True)``).
+protection boundary actually is: system servlet → user servlet.
+:class:`~repro.web.jkweb.JKernelWebServer` models exactly that
+(``system`` is the :class:`~repro.web.jkweb.SystemServlet` itself,
+called host-side).
 
 ``handle`` is called concurrently from every event loop (and pool
 worker) of the native server, so the bridged-request counter is sharded

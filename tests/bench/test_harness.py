@@ -115,130 +115,6 @@ class TestWorkloadFixtures:
         assert fixture.raw_bytes_us(64, "serial", min_time=0.002) > 0
 
 
-class TestRunnerRegistry:
-    def test_all_six_tables_registered(self):
-        from repro.bench.runner import TABLES
-
-        assert sorted(TABLES) == [1, 2, 3, 4, 5, 6]
-        for title, builder in TABLES.values():
-            assert callable(builder)
-            assert title.startswith("Table")
-
-
-def _load_save_baseline():
-    import importlib.util
-    from pathlib import Path
-
-    path = (Path(__file__).resolve().parents[2]
-            / "benchmarks" / "save_baseline.py")
-    spec = importlib.util.spec_from_file_location("save_baseline", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBaselineCompare:
-    """The --check comparison logic, exercised without measuring."""
-
-    def test_matching_metrics_within_tolerance_pass(self):
-        sb = _load_save_baseline()
-        lines, regressions, new_keys = sb.compare_metrics(
-            {"null_lrmi_us": 1.0}, {"null_lrmi_us": 1.1}, tolerance=0.20
-        )
-        assert regressions == []
-        assert new_keys == []
-        assert any("null_lrmi_us" in line for line in lines)
-
-    def test_regression_detected_beyond_tolerance(self):
-        sb = _load_save_baseline()
-        _lines, regressions, _new = sb.compare_metrics(
-            {"null_lrmi_us": 1.0}, {"null_lrmi_us": 1.5}, tolerance=0.20
-        )
-        assert regressions == [("null_lrmi_us", 1.0, 1.5)]
-
-    def test_unknown_measured_keys_are_record_only(self):
-        """The satellite fix: keys the snapshot predates (prefork_*,
-        xproc_*) must never read as regressions — record-only."""
-        sb = _load_save_baseline()
-        lines, regressions, new_keys = sb.compare_metrics(
-            {"null_lrmi_us": 1.0},
-            {"null_lrmi_us": 1.0,
-             "xproc_null_lrmi_us": 60.0,
-             "prefork_pages_per_sec_2w": 9000.0},
-        )
-        assert regressions == []
-        assert set(new_keys) == {"xproc_null_lrmi_us",
-                                 "prefork_pages_per_sec_2w"}
-        assert sum("record-only" in line for line in lines) >= 2
-
-    def test_dropped_snapshot_keys_do_not_fail(self):
-        sb = _load_save_baseline()
-        lines, regressions, _new = sb.compare_metrics(
-            {"renamed_away_us": 5.0}, {}
-        )
-        assert regressions == []
-        assert any("dropped" in line for line in lines)
-
-    def test_exempt_keys_never_gate(self):
-        """xproc socket round trips are recorded, not µs-gated: the wire
-        cost tracks the host kernel, the gated signal is the ratio."""
-        sb = _load_save_baseline()
-        _lines, regressions, _new = sb.compare_metrics(
-            {"xproc_null_lrmi_us": 50.0}, {"xproc_null_lrmi_us": 500.0}
-        )
-        assert regressions == []
-
-    def test_shape_gate_xproc_ratio_floor(self):
-        sb = _load_save_baseline()
-        regressions = []
-        snapshot = {"shape": {"xproc_over_inproc_null_lrmi": 2.0}}
-        sb.check_shapes(snapshot, regressions, remeasure_http=False)
-        assert regressions == [
-            ("shape.xproc_over_inproc_null_lrmi", sb.XPROC_RATIO_FLOOR, 2.0)
-        ]
-
-    def test_shape_gate_prefork_only_on_multicore(self):
-        sb = _load_save_baseline()
-        base = {
-            "shape": {},
-            "prefork_pages_per_sec_2w": 100.0,
-            "http_pages_per_sec_jk_100b": 200.0,
-        }
-        # single core: recorded, never gated
-        regressions = []
-        sb.check_shapes({**base, "cpu_count": 1}, regressions,
-                        remeasure_http=False)
-        assert regressions == []
-        # multi core: 2 workers below the single-process number fails
-        regressions = []
-        sb.check_shapes({**base, "cpu_count": 4}, regressions,
-                        remeasure_http=False)
-        assert regressions and regressions[0][0] == \
-            "prefork_2w_over_table5_jk"
-
-    def test_step_summary_written_and_formatted(self, tmp_path):
-        sb = _load_save_baseline()
-        snapshot = {
-            "shape": {"jk_over_native_http": 0.83,
-                      "xproc_over_inproc_null_lrmi": 66.0,
-                      "prefork_2w_over_1w": 0.95},
-            "null_lrmi_us": 0.86,
-            "xproc_null_lrmi_us": 56.1,
-            "cpu_count": 1,
-        }
-        line = sb.step_summary_line(snapshot, [], ["prefork_pages_per_sec_2w"])
-        assert line.startswith("perf: ")
-        assert "0.83" in line and "66.0" in line
-        target = tmp_path / "summary.md"
-        assert sb.write_step_summary(line, stream_path=str(target))
-        assert target.read_text().strip() == line
-
-    def test_step_summary_noop_outside_actions(self, monkeypatch):
-        sb = _load_save_baseline()
-        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        assert sb.write_step_summary("perf: nothing") is False
-
-
 class TestTable6Fixture:
     """Smoke: the cross-process fixture measures, and the paper's
     in-process-wins shape holds with a wide margin."""

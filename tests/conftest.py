@@ -2,9 +2,58 @@
 
 from __future__ import annotations
 
+import glob
+import os
+import socket
+import tempfile
+
 import pytest
 
 from repro.core import reset_repository
+from repro.core.regions import _owner_pid, _pid_alive
+
+
+def _serving(path):
+    """True when something still accepts on the socket file ``path``."""
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.connect(path)
+        return True
+    except OSError:
+        return False
+    finally:
+        probe.close()
+
+
+def _orphaned(segment):
+    """True when the process that owns a region segment is gone."""
+    pid = _owner_pid(os.path.basename(segment))
+    return pid is not None and not _pid_alive(pid)
+
+
+def _ipc_litter():
+    """What dead processes left on the host: endpoint socket files
+    nobody serves and sealed-region segments whose owner is gone.
+
+    The live ones are not litter, whoever owns them: a served socket
+    belongs to a session sharing the temp directory, and a live
+    process's ``jkr<pid>g*`` segments are ``regions._POOL``'s free list
+    (revoked regions return to it by design) until its ``atexit``."""
+    sockets = glob.glob(os.path.join(tempfile.gettempdir(), "repro-*.sock"))
+    segments = glob.glob("/dev/shm/jkr*")
+    return ({path for path in sockets if not _serving(path)}
+            | {path for path in segments if _orphaned(path)})
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_ipc_litter():
+    """Every endpoint unlinks its socket path and every host's region
+    segments go with it: the session fails if it leaves more stale ones
+    behind than it found."""
+    before = _ipc_litter()
+    yield
+    leaked = sorted(_ipc_litter() - before)
+    assert not leaked, f"test session left IPC files behind: {leaked}"
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
-"""The docs CI job's lint: knob/export coverage and link resolution."""
+"""The docs CI job's lint: knob/export coverage, link resolution and
+repository paths."""
 
 import importlib.util
 import subprocess
@@ -127,3 +128,52 @@ class TestDetection:
         monkeypatch.setattr(doclint, "SRC", tmp_path / "src")
         monkeypatch.setattr(doclint, "DOCS", docs)
         assert doclint.main() == 0
+
+    def _tree(self, doclint, tmp_path, monkeypatch, page):
+        src = tmp_path / "src" / "repro"
+        for package in ("core", "fleet", "ipc"):
+            (src / package).mkdir(parents=True)
+            (src / package / "__init__.py").write_text("__all__ = []\n")
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "kept.py").write_text("")
+        (tmp_path / "ROADMAP.md").write_text("# roadmap\n")
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a.md").write_text(page)
+        (tmp_path / "README.md").write_text("# readme\n")
+        monkeypatch.setattr(doclint, "REPO", tmp_path)
+        monkeypatch.setattr(doclint, "SRC", tmp_path / "src")
+        monkeypatch.setattr(doclint, "DOCS", docs)
+
+    def test_dangling_repository_path_detected(self, doclint, tmp_path,
+                                               monkeypatch, capsys):
+        self._tree(doclint, tmp_path, monkeypatch,
+                   "run `benchmarks/gone.py`, see `repro/ipc/com.py`, "
+                   "`ipc/old.py` and `BENCH_gone.json`; `benchmarks/kept.py`, "
+                   "`benchmarks/*.py`, `repro/ipc`, `ROADMAP.md`, "
+                   "`jk/Kernel`, `try/finally`, `/servlet/doc10` and a bare "
+                   "`lrmi.py` are fine\n")
+        assert doclint.main() == 1
+        out = capsys.readouterr().out
+        for gone in ("benchmarks/gone.py", "repro/ipc/com.py", "ipc/old.py",
+                     "BENCH_gone.json"):
+            assert f"`{gone}`" in out
+        assert out.count("dangling path") == 4
+
+    def test_run_output_names_are_not_repository_paths(self, doclint,
+                                                       tmp_path,
+                                                       monkeypatch):
+        self._tree(doclint, tmp_path, monkeypatch,
+                   "reads `result.json` and `.jkbench_out/A/result.json`, "
+                   "appends to `BENCH_history.jsonl`, leaves "
+                   "`.jkbench_tmp/` behind\n")
+        assert doclint.main() == 0
+
+    def test_verify_skill_is_scanned_when_present(self, doclint, tmp_path,
+                                                  monkeypatch, capsys):
+        self._tree(doclint, tmp_path, monkeypatch, "# clean\n")
+        skill = tmp_path / doclint.VERIFY_SKILL
+        skill.parent.mkdir(parents=True)
+        skill.write_text("run `benchmarks/gone.py`\n")
+        assert doclint.main() == 1
+        assert "SKILL.md" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""IPC substrate: framing, cross-process RPC, COM activation modes."""
+"""IPC substrate: framing and cross-process RPC."""
 
 import socket
 import threading
@@ -6,16 +6,10 @@ import threading
 import pytest
 
 from repro.ipc import (
-    IN_PROC,
-    OUT_OF_PROC,
-    ComError,
-    ComInterface,
-    ComRegistry,
     RpcClient,
     RpcError,
     RpcServerProcess,
     WireError,
-    create_instance,
     null_server,
     recv_frame,
     send_frame,
@@ -208,66 +202,3 @@ class TestNtRpcInProcess:
         assert ready.wait(5.0)
         with RpcClient(path) as client:
             assert client.call("null") == b""
-
-
-_CALC = ComInterface("ICalc", ["add", "concat", "null_op"])
-
-
-class Calc:
-    def add(self, a, b):
-        return a + b
-
-    def concat(self, a, b):
-        return a + b
-
-    def null_op(self):
-        return 0
-
-
-def _registry():
-    registry = ComRegistry()
-    registry.register_class("CLSID_Calc", Calc, _CALC)
-    return registry
-
-
-class TestComInProc:
-    def test_vtable_call(self):
-        pointer = create_instance(_registry(), "CLSID_Calc", IN_PROC)
-        assert pointer.method("add")(2, 3) == 5
-        assert pointer.invoke(_CALC.vtable_index("add"), 4, 5) == 9
-
-    def test_query_interface(self):
-        pointer = create_instance(_registry(), "CLSID_Calc", IN_PROC)
-        assert pointer.query_interface("ICalc") is pointer
-        with pytest.raises(ComError, match="E_NOINTERFACE"):
-            pointer.query_interface("IUnknown2")
-
-    def test_unregistered_class(self):
-        with pytest.raises(ComError, match="CLASSNOTREG"):
-            create_instance(_registry(), "CLSID_Ghost", IN_PROC)
-
-    def test_unknown_method(self):
-        with pytest.raises(ComError, match="no method"):
-            _CALC.vtable_index("subtract")
-
-
-class TestComOutOfProc:
-    def test_marshalled_calls(self):
-        pointer = create_instance(_registry(), "CLSID_Calc", OUT_OF_PROC)
-        try:
-            assert pointer.method("add")(40, 2) == 42
-            assert pointer.method("concat")("foo", "bar") == "foobar"
-            assert pointer.method("null_op")() == 0
-        finally:
-            pointer._com_host.stop()
-
-    def test_bytes_arguments(self):
-        pointer = create_instance(_registry(), "CLSID_Calc", OUT_OF_PROC)
-        try:
-            assert pointer.method("concat")(b"ab", b"cd") == b"abcd"
-        finally:
-            pointer._com_host.stop()
-
-    def test_bad_activation_context(self):
-        with pytest.raises(ComError, match="unknown activation"):
-            create_instance(_registry(), "CLSID_Calc", "somewhere")

@@ -334,9 +334,6 @@ class TestServerLifecycle:
         same address failed with EADDRINUSE.  bind() now unlinks the
         stale path, mirroring DomainHostProcess.start."""
         path = str(tmp_path / "stale.sock")
-        with RpcServerProcess({"echo": lambda p: p}) as first:
-            first.path = path  # before start
-        # __exit__ called stop -> no process yet; drive it manually:
         first = RpcServerProcess({"echo": lambda p: p})
         first.path = path
         first.start()

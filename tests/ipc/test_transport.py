@@ -332,6 +332,14 @@ class TestEndpoint:
             assert started is endpoint and endpoint.alive()
         assert not os.path.exists(endpoint.path)
 
+    def test_stop_unlinks_the_path_it_bound(self, endpoint, tmp_path):
+        """``path`` reassigned while the child runs used to make stop()
+        unlink the new name and orphan the socket file really bound."""
+        with endpoint:
+            bound = endpoint.path
+            endpoint.path = str(tmp_path / "elsewhere.sock")
+        assert not os.path.exists(bound)
+
     def test_failed_start_leaves_no_child(self, endpoint, monkeypatch,
                                           tmp_path):
         """A child too slow to bind used to outlive the start() that

@@ -1,4 +1,4 @@
-"""The three servers: native (IIS), J-Kernel-extended, and interpreted JWS.
+"""The two product servers: native (IIS) and J-Kernel-extended.
 
 Includes the §4 protection stories: servlet crash isolation, hot
 replacement, termination, and source upload.
@@ -10,7 +10,6 @@ from repro.core import Domain
 from repro.web import (
     DocumentStore,
     JKernelWebServer,
-    JWSServer,
     NativeHttpServer,
     Request,
     Servlet,
@@ -197,41 +196,6 @@ class TestJKernelWebServer:
         assert bodies == [b"1", b"2", b"3"]
 
 
-class TestJWS:
-    @pytest.fixture()
-    def jws(self):
-        server = JWSServer({"/a": b"alpha", "/bb": b"beta-doc"})
-        server.start()
-        yield server
-        server.stop()
-
-    def test_serves_documents_interpreted(self, jws):
-        response = fetch_once("127.0.0.1", jws.port, "/a")
-        assert response.status == 200
-        assert response.body == b"alpha"
-        response = fetch_once("127.0.0.1", jws.port, "/bb")
-        assert response.body == b"beta-doc"
-
-    def test_404_path(self, jws):
-        assert fetch_once("127.0.0.1", jws.port, "/zz").status == 404
-
-    def test_handle_bytes_direct(self, jws):
-        raw = b"GET /a HTTP/1.0\r\n\r\n"
-        response = jws.handle_bytes(raw)
-        assert response.startswith(b"HTTP/1.0 200")
-        assert response.endswith(b"alpha")
-
-    def test_malformed_request_400(self, jws):
-        assert jws.handle_bytes(b"NONSENSE\r\n\r\n").startswith(
-            b"HTTP/1.0 400"
-        )
-
-    def test_counts_requests(self, jws):
-        before = jws.requests_served
-        jws.handle_bytes(b"GET /a HTTP/1.0\r\n\r\n")
-        assert jws.requests_served == before + 1
-
-
 class TestReactorFeatures:
     """PR 4: event-driven reactor — cache, pool, stats, lifecycle."""
 
@@ -356,21 +320,6 @@ class TestSealedServletSemantics:
         close_variant = response.wire_bytes("HTTP/1.0", False)
         assert close_variant is not first
         assert b"Connection: close" in close_variant
-
-    def test_system_lrmi_compat_mode(self, iis):
-        jk = JKernelWebServer(server=iis, mount="/servlet2",
-                              system_lrmi=True)
-        jk.install_servlet("/hello", HelloServlet)
-        try:
-            response = fetch_once("127.0.0.1", iis.port,
-                                  "/servlet2/hello")
-            assert response.status == 200
-            assert response.body == b"hello /hello"
-            # the bridge->system hop is a real LRMI in this mode
-            assert jk.system_domain.stats["lrmi_calls_in"] >= 1
-        finally:
-            for prefix in list(jk.registrations()):
-                jk.terminate_servlet(prefix)
 
     def test_per_domain_request_accounting(self, iis, jk):
         jk.install_servlet("/acct", HelloServlet)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc lint: the docs tree must keep up with the code.
 
-Three checks, each of which fails the build on a violation:
+Four checks, each of which fails the build on a violation:
 
 1. **Env-knob coverage** — every ``JK_*`` environment variable
    mentioned anywhere under ``src/`` must appear in at least one
@@ -13,6 +13,12 @@ Three checks, each of which fails the build on a violation:
 3. **Link resolution** — every relative markdown link inside ``docs/``
    (and the README's links into ``docs/``) must point at a file that
    exists.
+4. **Repository paths** — every back-ticked repository path in the
+   README, ``docs/*.md`` and the verify skill must exist: a deleted
+   module or script cannot go on being documented.  Names a run
+   *produces* (``result.json``, ``.jkbench_out/…``) are not paths of
+   the repository.  ``benchmarks/jkbench/README.md`` is the benchmark's
+   own file and is not scanned.
 
 Run:  PYTHONPATH=src python tools/doclint.py
 """
@@ -30,6 +36,16 @@ KNOB_RE = re.compile(r"JK_[A-Z][A-Z_]*")
 # [text](target) — but not images and not in fenced code (good enough:
 # fenced blocks in these docs never contain markdown links).
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
+# A back-ticked token made of path characters only: `<pid>`, `{a,b}`,
+# `x:y` and anything with a space are prose or patterns, not paths, and
+# a leading `/` is an absolute or URL path, not one of ours.
+PATH_TOKEN_RE = re.compile(r"`([A-Za-z0-9_.*][A-Za-z0-9_.*/-]*)`")
+PATH_EXTENSIONS = (".py", ".md", ".json", ".jsonl", ".yml", ".txt")
+#: What running the tests and the benchmark leaves behind.
+RUN_OUTPUT_NAMES = {"result.json", "BENCH_history.jsonl"}
+RUN_OUTPUT_DIRS = (".jkbench_out/", ".jkbench_tmp/", ".bench_build/",
+                   ".benchmarks/")
+VERIFY_SKILL = Path(".claude") / "skills" / "verify" / "SKILL.md"
 
 
 def _knobs_in_source():
@@ -68,6 +84,44 @@ def _docs_corpus():
     return pages
 
 
+def _path_pages(pages):
+    """The pages rule 4 scans: the docs corpus plus the verify skill."""
+    scanned = dict(pages)
+    skill = REPO / VERIFY_SKILL
+    if skill.exists():
+        scanned[skill] = skill.read_text(encoding="utf-8")
+    return scanned
+
+
+def _dangling_paths(text):
+    """Back-ticked tokens of ``text`` that claim to be repository paths
+    and match no file.
+
+    A token with a ``/`` is a claim when it starts at a directory the
+    repository has (``repro/…`` and ``ipc/…`` are read under ``src/``
+    and ``src/repro/``) or ends in a source or document extension —
+    ``jk/Kernel`` and ``try/finally`` are neither.  A bare name is a
+    claim only as a root document, upper-case first (``ROADMAP.md``):
+    a bare ``lrmi.py`` does not say where it lives.  ``*`` globs.
+    """
+    roots = (REPO, SRC, SRC / "repro")
+    dangling = []
+    for token in dict.fromkeys(PATH_TOKEN_RE.findall(text)):
+        path = token.rstrip("/")
+        if (path.rsplit("/", 1)[-1] in RUN_OUTPUT_NAMES
+                or token.startswith(RUN_OUTPUT_DIRS)):
+            continue
+        if "/" in path:
+            head = path.split("/", 1)[0]
+            claim = (path.endswith(PATH_EXTENSIONS)
+                     or any((root / head).is_dir() for root in roots))
+        else:
+            claim = path.endswith(PATH_EXTENSIONS) and path[0].isupper()
+        if claim and not any(any(root.glob(path)) for root in roots):
+            dangling.append(token)
+    return dangling
+
+
 def _word_pattern(name):
     return re.compile(rf"(?<![A-Za-z0-9_]){re.escape(name)}(?![A-Za-z0-9_])")
 
@@ -102,6 +156,13 @@ def main():
                     f"dangling link in {path.relative_to(REPO)}: "
                     f"({target})"
                 )
+
+    for path, text in _path_pages(pages).items():
+        for token in _dangling_paths(text):
+            problems.append(
+                f"dangling path in {path.relative_to(REPO)}: `{token}` "
+                f"names no file in the repository"
+            )
 
     if problems:
         print(f"doclint: {len(problems)} problem(s)")
