@@ -8,6 +8,9 @@ which is what makes keep-alive pipelining possible on a non-blocking
 socket).  ``tests/web/test_http_fuzz.py`` pins the two to each other:
 any split of a valid byte stream must parse identically, and any input
 the reference rejects must raise :class:`HttpError` incrementally too.
+Content-Length is the only body framing either parser implements, so
+both refuse any ``Transfer-Encoding`` (501) and conflicting
+Content-Length values (400) rather than read a body as the next request.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ REASONS = {
     408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -80,7 +84,15 @@ def read_request(reader):
         if not line:
             break
         name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(f"conflicting content-length: {value!r}")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        # Content-Length is the only framing implemented: a chunked body
+        # read as "no body" would be parsed as the next request.
+        raise HttpError("transfer-encoding not implemented", status=501)
     body = b""
     raw_length = headers.get("content-length", "0") or "0"
     try:
@@ -106,13 +118,28 @@ class RequestParser:
     pipelined requests.  Malformed input raises :class:`HttpError`; the
     resource limits (line length, total header bytes, body size) raise it
     too, so a hostile peer cannot buffer unboundedly.
+
+    A keep-alive client repeats one header block on every request, so
+    the parser memoizes the blocks it has walked: the exact bytes from
+    the first header line through the blank line that ends them, mapped
+    to the parsed headers and body length.  A block is stored only when
+    the walk just parsed it, only when it is the one a lookup would
+    find (see :meth:`next_request`), and only if the walk raised
+    nothing, so a hit returns exactly what the walk would under this
+    parser's limits.
     """
 
     _LINE, _HEADERS, _BODY = 0, 1, 2
 
+    #: The memo's bounds, per parser (one parser per connection): at most
+    #: this many blocks of at most this many bytes, cleared when full, so
+    #: its size never follows what a client sends.
+    _MEMO_ENTRIES = 8
+    _MEMO_BLOCK = 2048
+
     __slots__ = ("max_line", "max_header_bytes", "max_body", "_buf", "_pos",
                  "_state", "_method", "_path", "_version", "_headers",
-                 "_length", "_header_bytes")
+                 "_length", "_header_bytes", "_memo")
 
     def __init__(self, max_line=8192, max_header_bytes=32768,
                  max_body=1 << 20):
@@ -125,6 +152,7 @@ class RequestParser:
         self._headers = None
         self._length = 0
         self._header_bytes = 0
+        self._memo = {}  # header block bytes -> (headers, content length)
 
     def feed(self, data):
         self._buf += data
@@ -139,71 +167,126 @@ class RequestParser:
         """True when EOF now would truncate a partially-received request."""
         return self._state != self._LINE or self.buffered > 0
 
-    def _take_line(self, what):
-        buf = self._buf
-        index = buf.find(b"\n", self._pos)
-        if index < 0:
-            if len(buf) - self._pos > self.max_line:
-                raise HttpError(f"{what} too long")
-            if self._pos:
-                del buf[:self._pos]
-                self._pos = 0
-            return None
-        if index - self._pos > self.max_line:
-            raise HttpError(f"{what} too long")
-        line = bytes(buf[self._pos:index + 1])
-        self._pos = index + 1
-        return line
+    def _compact(self):
+        if self._pos:
+            del self._buf[:self._pos]
+            self._pos = 0
 
     def next_request(self):
         """One complete request, or None until more bytes arrive."""
-        while True:
-            if self._state == self._LINE:
-                line = self._take_line("request line")
-                if line is None:
-                    return None
-                parts = line.decode("latin-1").strip().split()
-                if len(parts) == 2:
-                    method, path = parts
-                    version = "HTTP/1.0"
-                elif len(parts) == 3:
-                    method, path, version = parts
-                else:
-                    raise HttpError(f"malformed request line: {line!r}")
-                self._method = method
-                self._path = path
-                self._version = version
+        buf = self._buf
+        pos = self._pos
+        if pos == len(buf):
+            return None
+        if self._state == self._LINE:
+            eol = buf.find(b"\n", pos, pos + self.max_line + 1)
+            if eol < 0:
+                if len(buf) - pos > self.max_line:
+                    raise HttpError("request line too long")
+                self._compact()
+                return None
+            parts = buf[pos:eol].decode("latin-1").split()
+            if len(parts) == 2:
+                self._method, self._path = parts
+                self._version = "HTTP/1.0"
+            elif len(parts) == 3:
+                self._method, self._path, self._version = parts
+            else:
+                raise HttpError(
+                    f"malformed request line: {bytes(buf[pos:eol + 1])!r}")
+            pos = eol + 1
+            # The memo candidate runs to the first CRLF CRLF at or after
+            # pos - 2 (a two-token request line puts pos - 2 inside this
+            # buffer); starting there catches a header-less request's
+            # lone blank line.  A candidate that overshoots this request's
+            # real blank line holds a blank line before its end, so it
+            # equals no stored block.
+            end = buf.find(b"\r\n\r\n", pos - 2, pos + self._MEMO_BLOCK)
+            parsed = (self._memo.get(bytes(buf[pos:end + 4]))
+                      if end >= 0 else None)
+            if parsed is None:
+                self._pos = pos
                 self._headers = {}
                 self._header_bytes = 0
                 self._state = self._HEADERS
-            elif self._state == self._HEADERS:
-                line = self._take_line("header line")
-                if line is None:
+                if not self._walk_headers(pos):
                     return None
-                self._header_bytes += len(line)
-                if self._header_bytes > self.max_header_bytes:
-                    raise HttpError("headers too large")
-                stripped = line.strip()
-                if not stripped:
-                    self._length = self._content_length()
-                    self._state = self._BODY
-                    continue
-                name, _, value = stripped.decode("latin-1").partition(":")
-                self._headers[name.strip().lower()] = value.strip()
-            else:  # _BODY
-                if self.buffered < self._length:
-                    return None
-                end = self._pos + self._length
-                body = bytes(self._buf[self._pos:end])
-                del self._buf[:end]
-                self._pos = 0
-                self._state = self._LINE
-                headers = self._headers
-                self._headers = None
-                return Request(self._method.upper(), self._path,
-                               self._version, headers, body)
+            else:
+                # A fresh dict per request: handlers may mutate it.
+                self._headers = parsed[0].copy()
+                self._length = parsed[1]
+                self._pos = end + 4
+                self._state = self._BODY
+        elif self._state == self._HEADERS:
+            if not self._walk_headers(-1):
+                return None
+        pos = self._pos
+        end = pos + self._length
+        if len(buf) < end:
+            return None
+        body = bytes(buf[pos:end]) if end > pos else b""
+        del buf[:end]
+        self._pos = 0
+        self._state = self._LINE
+        headers = self._headers
+        self._headers = None
+        return Request(self._method.upper(), self._path, self._version,
+                       headers, body)
+
+    def _walk_headers(self, block):
+        """Walk the buffered header lines from the cursor.
+
+        Returns True once a blank line ends the block (state moves to
+        body), False when more bytes are needed (the lines walked stay
+        consumed).  ``block`` is the block's first byte when the request
+        line was taken in this same call — the block is then memoized if
+        eligible — and -1 otherwise.
+
+        One bounded ``find`` per line, so a walk costs what its own block
+        holds: splitting everything buffered would re-scan every
+        pipelined request behind it, once per request.
+        """
+        buf = self._buf
+        pos = self._pos
+        max_line = self.max_line
+        headers = self._headers
+        header_bytes = self._header_bytes
+        while True:
+            eol = buf.find(b"\n", pos, pos + max_line + 1)
+            if eol < 0:
+                if len(buf) - pos > max_line:
+                    raise HttpError("header line too long")
+                self._pos = pos
+                self._header_bytes = header_bytes
+                self._compact()
+                return False
+            header_bytes += eol + 1 - pos
+            if header_bytes > self.max_header_bytes:
+                raise HttpError("headers too large")
+            line = buf[pos:eol].strip()
+            pos = eol + 1
+            if not line:
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            name = name.strip().lower()
+            value = value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise HttpError(f"conflicting content-length: {value!r}")
+            headers[name] = value
+        self._pos = pos
+        self._length = length = self._content_length()
+        self._state = self._BODY
+        if (block >= 0 and pos - block <= self._MEMO_BLOCK
+                and buf.find(b"\r\n\r\n", block - 2, pos) == pos - 4):
+            memo = self._memo
+            if len(memo) >= self._MEMO_ENTRIES:
+                memo.clear()
+            memo[bytes(buf[block:pos])] = (headers.copy(), length)
+        return True
 
     def _content_length(self):
+        if "transfer-encoding" in self._headers:
+            raise HttpError("transfer-encoding not implemented", status=501)
         raw = self._headers.get("content-length", "0") or "0"
         try:
             length = int(raw)

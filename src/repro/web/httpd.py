@@ -35,7 +35,7 @@ from collections import OrderedDict, deque
 
 from repro.core.accounting import ShardedCounter
 
-from .http import HttpError, RequestParser, Response, format_response
+from .http import REASONS, HttpError, RequestParser, Response, format_response
 from . import streaming as _streaming
 
 _READ = selectors.EVENT_READ
@@ -216,15 +216,15 @@ def _safe_handle(handler, request):
     )
 
 
-def _format_payload(response, keep_alive, version):
+def _format_payload(response, keep_alive, version, failures):
     """Wire bytes for one response: the carrier's memoized form when it
     has one, a fresh formatting otherwise.
 
     Never raises: a response whose headers/body cannot be formatted
     (non-latin-1 header values, duck-typed carriers with broken
-    protocols) degrades to a 500 instead of killing the calling loop or
-    pool thread — the reactor equivalent of the seed losing only the
-    one connection.
+    protocols) degrades to a 500, counted in ``failures``, instead of
+    killing the calling loop or pool thread — the reactor equivalent of
+    the seed losing only the one connection.
     """
     try:
         wire = getattr(response, "wire_bytes", None)
@@ -233,7 +233,8 @@ def _format_payload(response, keep_alive, version):
         if type(payload) is bytes:
             return payload
     except Exception:
-        pass
+        pass  # counted below, with the non-bytes payloads
+    failures.add(1)
     return format_response(
         Response(500, {"Content-Type": "text/plain"},
                  b"response formatting failed"),
@@ -257,7 +258,8 @@ class _PoolTask:
     def __call__(self):
         response = _safe_handle(self.handler, self.request)
         payload = _format_payload(
-            response, not self.slot.close_after, self.slot.version
+            response, not self.slot.close_after, self.slot.version,
+            self.loop.server._format_failures,
         )
         self.loop.post(("complete", self.conn, self.slot, payload))
 
@@ -458,6 +460,9 @@ class _EventLoop(threading.Thread):
         self._unavailable_payloads = {}  # loop-thread only, like the cache
         self._running = True
         self._served_cell = None
+        # The clock, read once per wake-up: activity stamps only feed the
+        # idle reaper, which sweeps at one-second granularity.
+        self.now = time.monotonic()
 
     # -- cross-thread input -------------------------------------------------
     def post(self, item):
@@ -496,19 +501,19 @@ class _EventLoop(threading.Thread):
         try:
             self._wake_w.send(b"x")
         except OSError:
-            pass
+            pass  # full: a wake is already pending; closed: loop is gone
 
     # -- the loop -----------------------------------------------------------
     def run(self):
         self._served_cell = self.server._served.cell()
         selector = self.selector
-        last_sweep = time.monotonic()
+        last_sweep = self.now = time.monotonic()
         while self._running:
             try:
                 events = selector.select(0.25)
             except OSError:
                 break
-            now = time.monotonic()
+            now = self.now = time.monotonic()
             if now - last_sweep >= 1.0:
                 last_sweep = now
                 self._sweep_idle(now)
@@ -526,16 +531,21 @@ class _EventLoop(threading.Thread):
                     if mask & _WRITE and not conn.closed:
                         self._on_writable(conn)
                 except Exception:
-                    self._close(conn)
+                    self._connection_error(conn)
             self._drain_inbox()
         self._cleanup()
+
+    def _connection_error(self, conn):
+        """Drop a connection whose handling raised unexpectedly."""
+        self.server._connection_errors.add(1)
+        self._close(conn)
 
     def _drain_wake(self):
         try:
             while self._wake_r.recv(4096):
                 pass
         except OSError:
-            pass
+            pass  # drained (would block), or closed at shutdown
 
     def _drain_inbox(self):
         while True:
@@ -550,10 +560,11 @@ class _EventLoop(threading.Thread):
                     try:
                         self._adopt(item[1])
                     except Exception:
+                        self.server._connection_errors.add(1)
                         try:
                             item[1].close()
                         except OSError:
-                            pass
+                            pass  # a failed close leaves nothing to undo
                 elif kind == "complete":
                     _, conn, slot, payload = item
                     slot.payload = payload
@@ -567,20 +578,20 @@ class _EventLoop(threading.Thread):
                     try:
                         self._pump(conn)
                     except Exception:
-                        self._close(conn)
+                        self._connection_error(conn)
 
     def _adopt(self, sock):
         if not self._running:
             try:
                 sock.close()
             except OSError:
-                pass
+                pass  # shutting down: the socket is discarded either way
             return
         sock.setblocking(False)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
-            pass
+            pass  # not a TCP socket (a Unix socketpair): nothing to tune
         conn = _Connection(sock, self.server._new_parser())
         self.connections.add(conn)
         self._set_mask(conn, _READ)
@@ -619,7 +630,7 @@ class _EventLoop(threading.Thread):
         except OSError:
             self._close(conn)
             return
-        conn.last_activity = time.monotonic()
+        conn.last_activity = self.now
         if not data:
             conn.read_closed = True
             self._pump(conn)
@@ -753,7 +764,8 @@ class _EventLoop(threading.Thread):
                         slot.close_after = True
                     self._finish_slot(slot)
                     return
-                slot.payload = _format_payload(response, keep, version)
+                slot.payload = _format_payload(response, keep, version,
+                                               server._format_failures)
                 slot.ready = True
                 self._finish_slot(slot)
             elif not pool.submit(_PoolTask(self, conn, slot, handler,
@@ -817,9 +829,11 @@ class _EventLoop(threading.Thread):
         """Malformed input: answer with the error status, then close."""
         conn.stop_dispatch = True
         slot = _Slot(True, "HTTP/1.0")
-        slot.payload = format_response(
-            Response(getattr(exc, "status", 400), {}, b"bad request")
-        )
+        status = getattr(exc, "status", 400)
+        slot.payload = format_response(Response(
+            status, {},
+            REASONS.get(status, "bad request").lower().encode("latin-1"),
+        ))
         slot.ready = True
         conn.pending.append(slot)
         self._flush(conn)
@@ -838,26 +852,42 @@ class _EventLoop(threading.Thread):
         # stays bounded while a fast-reading client still gets the whole
         # pipeline without waiting for another readiness event.
         while True:
-            while pending and pending[0].ready and len(out) < highwater:
+            if (not out and pending and pending[0].ready
+                    and (len(pending) == 1 or not pending[1].ready)):
+                # One finished response and nothing staged ahead of it:
+                # its bytes go to the kernel as they are, and only an
+                # unsent tail is staged.
                 slot = pending.popleft()
-                out += slot.payload
+                data = slot.payload
                 if slot.close_after:
                     conn.close_after_flush = True
                     conn.stop_dispatch = True
                     pending.clear()
-                    break
-            if not out:
+            else:
+                while pending and pending[0].ready and len(out) < highwater:
+                    slot = pending.popleft()
+                    out += slot.payload
+                    if slot.close_after:
+                        conn.close_after_flush = True
+                        conn.stop_dispatch = True
+                        pending.clear()
+                        break
+                data = out
+            if not data:
                 break
             try:
-                sent = conn.sock.send(out)
+                sent = conn.sock.send(data)
             except (BlockingIOError, InterruptedError):
                 sent = 0
             except OSError:
                 self._close(conn)
                 return
-            if sent:
+            if data is out:
                 del out[:sent]
-                conn.last_activity = time.monotonic()
+            elif sent < len(data):
+                out += memoryview(data)[sent:]
+            if sent:
+                conn.last_activity = self.now
             if out or sent == 0:
                 # Kernel buffer full (or partial write): _on_writable
                 # resumes the drain when the client catches up.
@@ -912,7 +942,7 @@ class _EventLoop(threading.Thread):
             try:
                 self.selector.unregister(conn.sock)
             except (KeyError, ValueError, OSError):
-                pass
+                pass  # the fd already died: nothing is registered
             conn.mask = 0
         # Out of the live set BEFORE the socket closes: the peer sees EOF
         # the instant close() runs, and whoever it tells must not find
@@ -921,7 +951,7 @@ class _EventLoop(threading.Thread):
         try:
             conn.sock.close()
         except OSError:
-            pass
+            pass  # a failed close leaves nothing to undo
 
     def _cleanup(self):
         # First thing: stop accepting cross-thread work.  A loop dying
@@ -939,16 +969,16 @@ class _EventLoop(threading.Thread):
                 try:
                     item[1].close()
                 except OSError:
-                    pass
+                    pass  # a failed close leaves nothing to undo
         for sock in (self._wake_r, self._wake_w):
             try:
                 sock.close()
             except OSError:
-                pass
+                pass  # a failed close leaves nothing to undo
         try:
             self.selector.close()
         except OSError:
-            pass
+            pass  # the loop is exiting: nothing else uses the selector
 
 
 class NativeHttpServer:
@@ -998,6 +1028,11 @@ class NativeHttpServer:
         self._backpressure_pauses = ShardedCounter()
         self._accept_backpressure = ShardedCounter()
         self._idle_closed = ShardedCounter()
+        # The two catch-alls that keep a loop or pool thread alive: a
+        # response that could not be formatted (answered 500 instead) and
+        # a connection dropped because handling it raised.
+        self._format_failures = ShardedCounter()
+        self._connection_errors = ShardedCounter()
 
     # -- configuration ----------------------------------------------------
     def add_extension(self, prefix, handler, *, inline=False):
@@ -1067,6 +1102,8 @@ class NativeHttpServer:
             "backpressure_pauses": self._backpressure_pauses.value,
             "accept_backpressure": self._accept_backpressure.value,
             "idle_closed": self._idle_closed.value,
+            "format_failures": self._format_failures.value,
+            "connection_errors": self._connection_errors.value,
         }
         if self.pool is not None:
             snapshot["pool"] = self.pool.stats()
@@ -1131,7 +1168,7 @@ class NativeHttpServer:
         try:
             sock.close()
         except OSError:
-            pass
+            pass  # shutting down: the socket is discarded either way
 
     def stop_accepting(self):
         """Close the listener and retire the acceptor, keeping existing
@@ -1143,7 +1180,7 @@ class NativeHttpServer:
             try:
                 self._listener.close()
             except OSError:
-                pass
+                pass  # idempotent: a second close has nothing to release
         if self._accept_thread is not None:
             self._accept_thread.join(2.0)
             self._accept_thread = None

@@ -8,9 +8,17 @@ import socket
 import tempfile
 
 import pytest
+from hypothesis import settings
 
 from repro.core import reset_repository
 from repro.core.regions import _owner_pid, _pid_alive
+
+# ``--hypothesis-profile=ci`` (the web CI job): property tests run ten
+# times deeper and stay deterministic.  Tier-1 keeps the default profile.
+settings.register_profile(
+    "ci", derandomize=True,
+    max_examples=settings.get_profile("default").max_examples * 10,
+)
 
 
 def _serving(path):

@@ -373,6 +373,53 @@ class TestReviewHardening:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("inline", [True, False],
+                             ids=["inline", "pooled"])
+    def test_unformattable_response_is_counted(self, inline):
+        server = NativeHttpServer(pool_workers=1)
+
+        def broken(request):
+            from repro.web import Response
+            return Response(200, {"X-Bad": "☃"}, b"")
+
+        server.add_extension("/broken", broken, inline=inline)
+        server.start()
+        try:
+            assert server.stats()["format_failures"] == 0
+            for expected in (1, 2):
+                assert fetch_once("127.0.0.1", server.port,
+                                  "/broken/x").status == 500
+                # counted before the 500 is handed back for sending
+                assert server.stats()["format_failures"] == expected
+        finally:
+            server.stop()
+
+    def test_connection_dropped_by_a_handling_bug_is_counted(self):
+        import socket
+
+        class BrokenStore(DocumentStore):
+            def version(self, path):
+                if path == "/explode":
+                    raise RuntimeError("store bug")
+                return super().version(path)
+
+        server = NativeHttpServer()
+        server.documents = BrokenStore()
+        server.documents.put("/fine", b"fine")
+        server.start()
+        try:
+            assert server.stats()["connection_errors"] == 0
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5.0) as conn:
+                conn.sendall(b"GET /explode HTTP/1.1\r\n\r\n")
+                assert conn.recv(4096) == b""  # dropped, no response
+            assert server.stats()["connection_errors"] == 1
+            # the loop survived the bug
+            assert fetch_once("127.0.0.1", server.port,
+                              "/fine").body == b"fine"
+        finally:
+            server.stop()
+
     def test_frozen_map_backing_is_read_only(self):
         from repro.core.sealed import FrozenMap
 
