@@ -52,7 +52,8 @@ byte names its marshal format:
   ``("back", export_id)`` and ``("export", export_id, label, methods)``.
 * ``MF_CALL``     — the compiled fast path: ``export_id(4) +
   method_index(1)`` then the positional-args stream.  Emitted by
-  generated proxy methods for keyword-free calls; the host dispatches
+  generated proxy methods for keyword-free calls and by the streamed
+  page call (with the granted fd alongside); the host dispatches
   through a method table *bound at export time* (the PR-2
   compile-at-registration strategy), so no method-name string crosses
   and no ``(export_id, method, args, kwargs)`` envelope is built.
@@ -196,7 +197,7 @@ RING_SIZE = 1 << 20
 
 #: Gate for the compiled MF_CALL fast path.  Patched to False before a
 #: host forks, every call goes through the generic tagged envelope: the
-#: fallback keyword/restricted/idempotent/streamed calls always take,
+#: fallback keyword/restricted/idempotent calls always take,
 #: and the reference the differential suite runs its whole matrix
 #: against.
 COMPILED_WIRE = True
@@ -220,6 +221,16 @@ class _PeerClosed(WireError):
     """EOF with no partial frame buffered: the peer hung up *between*
     frames — a normal disconnect for a serving loop, still a transport
     failure for a caller awaiting its reply."""
+
+
+class _ErrorReply(Exception):
+    """Carries the callee's exception out of the reply loop, past the
+    handlers that read an ``OSError`` or a ``ProtocolError`` as a broken
+    connection: an error reply arrived whole, so the stream is in sync."""
+
+    def __init__(self, error):
+        super().__init__(error)
+        self.error = error
 
 
 # Registered so a host-side protocol failure re-raises as itself in the
@@ -307,6 +318,7 @@ class ExportTable:
         self._by_id = {}
         self._by_identity = {}
         self._dispatch = {}
+        self._names = {}
         self._next = itertools.count(1).__next__
 
     def export(self, capability):
@@ -319,7 +331,9 @@ class ExportTable:
         methods are the in-process stub's generated methods, which check
         revocation/termination on every call, so binding early never
         bypasses a later revoke (and a swept export disappears from this
-        table entirely).
+        table entirely).  Beside it goes the export's name set: the
+        generic path dispatches a method named in the frame only when
+        the name is in it.
         """
         with self._lock:
             found = self._by_identity.get(id(capability))
@@ -339,12 +353,31 @@ class ExportTable:
                         getattr(capability, name, None) for name in names
                     )
             except Exception:
-                bound = ()
+                names, bound = (), ()
             self._dispatch[export_id] = bound
+            self._names[export_id] = frozenset(names)
             return export_id
 
     def get(self, export_id):
         return self._by_id.get(export_id)
+
+    def named(self, export_id, method):
+        """The live export's capability when ``method`` is one of its
+        exported names; raises when the export is gone, and
+        :class:`ProtocolError` for any other name (``revoke``, a dunder,
+        an unknown one) — authority over the capability itself stays
+        with its creator."""
+        capability = self._by_id.get(export_id)
+        if capability is None:
+            raise RevokedException(
+                f"export #{export_id} is gone (revoked or swept)"
+            )
+        if type(method) is not str or method not in self._names.get(
+                export_id, ()):
+            raise ProtocolError(
+                f"export #{export_id} exports no method {method!r}"
+            )
+        return capability
 
     def entry(self, export_id):
         """``(capability, bound_methods)`` for a live export, else None."""
@@ -363,6 +396,7 @@ class ExportTable:
                     del self._by_id[export_id]
                     self._by_identity.pop(id(capability), None)
                     self._dispatch.pop(export_id, None)
+                    self._names.pop(export_id, None)
                     dropped.append(export_id)
         return dropped
 
@@ -724,9 +758,9 @@ class _Connection:
                 self._held_regions = held or None
         self._send_built(frame, 6, descriptors, fds)
 
-    def _send_call(self, call_id, export_id, method_index, args):
+    def _send_call(self, call_id, export_id, method_index, args, fds=()):
         """Compose and send one compiled MF_CALL frame."""
-        if not args:
+        if not args and not fds:
             # A no-arg call is constant but for the ids: one pack, no
             # frame buffer, no serializer.
             frame = _NULL_CALL_FRAME.pack(16, OP_CALL, call_id, MF_CALL,
@@ -746,7 +780,7 @@ class _Connection:
             descriptors = dumps(
                 tuple(_describe(self.peer, capability) for capability in table)
             )
-        self._send_built(frame, 6 + _CALL_HDR.size, descriptors)
+        self._send_built(frame, 6 + _CALL_HDR.size, descriptors, fds)
 
     def _send_built(self, frame, splice_at, descriptors, fds=()):
         """Ship a composed frame: over the bulk ring when large, else as
@@ -1005,10 +1039,15 @@ class _Connection:
             call_id, deadline,
         )
 
-    def call_streamed(self, export_id, method, args, fd, deadline=None,
-                      on_sent=None):
+    def call_streamed(self, export_id, method_index, method, args, fd,
+                      deadline=None, on_sent=None):
         """A call that grants ``fd`` to the callee via SCM_RIGHTS (reply
         streaming: the host writes the HTTP response to it directly).
+
+        The frame follows the compiled proxies' rule: an MF_CALL frame
+        addressed by ``method_index``, unless the wire is switched to
+        generic or the caller's chain is restricted — then the envelope,
+        which carries the compressed access-control context.
 
         ``on_sent`` fires only after the call frame went out whole.  The
         host dispatches (and can write the granted fd) only on a
@@ -1018,10 +1057,16 @@ class _Connection:
         the caller may safely fall back to a marshalled reply.
         """
         call_id = self._call_ids()
-        request = _call_envelope(export_id, method, args, {})
+        fds = (fd,)
+        request = None
+        if not COMPILED_WIRE or _policy.restricted():
+            request = _call_envelope(export_id, method, args, {})
 
         def send():
-            self._send_value(OP_CALL, call_id, request, fds=(fd,))
+            if request is None:
+                self._send_call(call_id, export_id, method_index, args, fds)
+            else:
+                self._send_value(OP_CALL, call_id, request, fds)
             if on_sent is not None:
                 on_sent()
 
@@ -1033,6 +1078,8 @@ class _Connection:
             apply_deadline(self.sock, deadline, base_timeout)
             send()
             return self._await(call_id, deadline, base_timeout)
+        except _ErrorReply as reply:
+            raise reply.error from None
         except socket.timeout as exc:
             raise self._transport_error(exc, timed_out=True) from None
         except (OSError, WireError) as exc:
@@ -1082,9 +1129,9 @@ class _Connection:
                 return self._read_value(payload)
             if opcode == OP_ERROR:
                 exc = self._read_value(payload)
-                if isinstance(exc, BaseException):
-                    raise exc
-                raise RemoteException(f"remote failure: {exc!r}")
+                if not isinstance(exc, BaseException):
+                    exc = RemoteException(f"remote failure: {exc!r}")
+                raise _ErrorReply(exc)
             raise WireError(f"unexpected opcode {opcode}")
 
     # -- callee side -------------------------------------------------------
@@ -1169,11 +1216,7 @@ class _Connection:
                     f"#{method_index}"
                 )
             return bound[method_index](*args)
-        capability = self.peer.exports.get(export_id)
-        if capability is None:
-            raise RevokedException(
-                f"export #{export_id} is gone (revoked or swept)"
-            )
+        capability = self.peer.exports.named(export_id, method)
         if wire_context is None:
             return getattr(capability, method)(*args, **kwargs)
         # The caller's compressed context joins this process's walk for
@@ -1520,8 +1563,10 @@ class DomainClient(_Peer, Channel):
                                         deadline),
             deadline)
 
-    def call_streamed(self, export_id, method, args, fd, *, on_grant=None):
-        """Invoke ``method`` granting ``fd`` to the host via SCM_RIGHTS.
+    def call_streamed(self, export_id, method_index, method, args, fd, *,
+                      on_grant=None):
+        """Invoke ``method`` (index ``method_index`` in the export's
+        method tuple) granting ``fd`` to the host via SCM_RIGHTS.
 
         No retries of any kind: once the descriptor crosses, the callee
         may have written bytes to it, and a duplicate delivery could
@@ -1535,8 +1580,8 @@ class DomainClient(_Peer, Channel):
         deadline = self._deadline()
         connection, _reused = self._checkout()
         try:
-            return connection.call_streamed(export_id, method, args, fd,
-                                            deadline=deadline,
+            return connection.call_streamed(export_id, method_index, method,
+                                            args, fd, deadline=deadline,
                                             on_sent=on_grant)
         finally:
             self._release(connection)

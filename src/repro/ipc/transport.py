@@ -401,11 +401,14 @@ class Channel:
         return self._wrap(sock)
 
     def _healthy(self, connection):
-        """Zero-timeout snapshot of an idle pooled connection."""
+        """Zero-timeout snapshot of an idle pooled connection (``poll``,
+        which, unlike ``select``, takes descriptors above
+        ``FD_SETSIZE``)."""
         sock = connection.sock
         try:
-            readable, _, _ = select.select([sock], [], [], 0)
-            return not readable or self.idle_readable_ok(sock)
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            return not poller.poll(0) or self.idle_readable_ok(sock)
         except (OSError, ValueError):
             return False
 

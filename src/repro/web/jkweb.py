@@ -295,11 +295,12 @@ class _OutOfProcessGateway:
             # client with a dead host's export id.
             client = registration.client
             stream = registration.stream_proxy
+            index = registration.stream_index
         if stream is None:
             return registration.proxy.service(request)
         try:
             result = client.call_streamed(
-                stream._export_id, "service",
+                stream._export_id, index, "service",
                 (request, offer.version, offer.keep_alive),
                 offer.fd, on_grant=offer.grant,
             )
@@ -313,14 +314,13 @@ class _OutOfProcessGateway:
         except Exception:
             # A typed exception *reply*: the round trip completed and the
             # host's adapter raises strictly before the first byte (write
-            # failures come back as ("stream-failed", n) tuples instead),
+            # failures come back as ("stream-failed", n) replies instead),
             # so the connection framing is intact — retract the grant and
             # propagate into the ordinary error path (403/500/503).
             offer.retract()
             raise
-        if (isinstance(result, tuple) and len(result) == 2
-                and result[0] == "streamed"):
-            offer.complete(result[1])
+        if type(result) is int and result >= 0:
+            offer.complete(result)
         else:
             offer.fail()
         return streaming.STREAMED
@@ -356,7 +356,7 @@ class OutOfProcessRegistration:
         # Reply streaming is an optimization the host may decline (an
         # old host image without the __stream__ binding): the gateway
         # falls back to marshalled replies when this stays None.
-        self.stream_proxy = self._lookup_stream(client)
+        self.stream_proxy, self.stream_index = self._lookup_stream(client)
         self._stream_armed = self.stream_proxy is not None
         if self._stream_armed:
             streaming.arm()
@@ -381,10 +381,16 @@ class OutOfProcessRegistration:
 
     @staticmethod
     def _lookup_stream(client):
+        """The host's reply-streaming proxy and the compiled method index
+        of its ``service`` — resolved once per proxy, not per request —
+        or ``(None, None)`` when the host declines streaming."""
+        from repro.ipc.lrmi import exported_methods
+
         try:
-            return client.lookup("__stream__")
+            stream = client.lookup("__stream__")
+            return stream, exported_methods(stream).index("service")
         except Exception:
-            return None
+            return None, None
 
     # -- ServletRegistration duck interface --------------------------------
     @property
@@ -507,7 +513,8 @@ class OutOfProcessRegistration:
                 self.proxy = proxy
                 # Fresh host, fresh export table: the old stream proxy's
                 # export id means nothing to the replacement.
-                self.stream_proxy = self._lookup_stream(client)
+                self.stream_proxy, self.stream_index = (
+                    self._lookup_stream(client))
                 armed = self.stream_proxy is not None
                 if armed and not self._stream_armed:
                     streaming.arm()

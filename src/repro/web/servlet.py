@@ -18,6 +18,7 @@ Mutable or cyclic payloads still ride the Table 4 copy machinery — the
 body is a ``bytes`` snapshot taken at construction.
 """
 
+import struct
 import weakref
 
 from repro.core import Remote, register_class
@@ -148,9 +149,51 @@ class ServletResponse:
 # in-process crossings keep the sealed by-reference fast path; over a
 # process boundary the carriers byte-encode through the compiled
 # serializer and the sealing constructors re-validate them on arrival.
+#
+# A request crosses on every out-of-process page, so it packs into ONE
+# ``bytes`` value when it can: a u32 head length, the UTF-8 head
+# ``method NUL path (NUL key NUL value)*``, then the body.  That holds
+# when every header key and value is a ``str`` and no field contains a
+# NUL (the head would not split back); any other request crosses
+# field-wise.  Either form rebuilds through FrozenMap and
+# ServletRequest, so arrival validation is the constructor's, as ever.
+_HEAD_LENGTH = struct.Struct(">I")
+
+
+def _reduce_request(request):
+    parts = [request.method, request.path]
+    for key, value in request.headers.items():
+        if type(key) is not str or type(value) is not str:
+            break
+        parts += (key, value)
+    else:
+        head = "\0".join(parts)
+        if head.count("\0") == len(parts) - 1:  # no NUL inside a field
+            head = head.encode("utf-8")
+            return (_HEAD_LENGTH.pack(len(head)) + head + request.body,)
+    return (request.method, request.path, request.headers, request.body)
+
+
+def _rebuild_request(*values):
+    if len(values) != 1:
+        return ServletRequest(*values)
+    (packed,) = values
+    if type(packed) is not bytes or len(packed) < _HEAD_LENGTH.size:
+        raise ValueError("packed request has no head length")
+    end = _HEAD_LENGTH.size + _HEAD_LENGTH.unpack_from(packed)[0]
+    if end > len(packed):
+        raise ValueError("packed request head runs past the end")
+    parts = str(memoryview(packed)[_HEAD_LENGTH.size:end], "utf-8").split(
+        "\0")
+    if len(parts) % 2:
+        raise ValueError("packed request head is ragged")
+    return ServletRequest(parts[0], parts[1],
+                          FrozenMap(zip(parts[2::2], parts[3::2])),
+                          packed[end:])
+
+
 register_class(ServletRequest, name="repro.web.ServletRequest",
-               fields=("method", "path", "headers", "body"),
-               rebuild=ServletRequest)
+               reduce=_reduce_request, rebuild=_rebuild_request)
 register_class(ServletResponse, name="repro.web.ServletResponse",
                fields=("status", "headers", "body"),
                rebuild=ServletResponse)

@@ -6,8 +6,8 @@ formats it back into HTTP bytes on the client socket.  Reply streaming
 collapses all three — the master passes the *client socket's file
 descriptor* to the host with the call (``SCM_RIGHTS`` over the AF_UNIX
 wire), and the host writes the formatted HTTP response straight to the
-browser.  The LRMI reply shrinks to a tiny ``("streamed", nbytes)``
-acknowledgement.
+browser.  The LRMI reply shrinks to the written byte count, a plain
+``int`` — the wire's constant-shape integer reply.
 
 Safety model — who may write the client socket, and when:
 
@@ -18,7 +18,7 @@ Safety model — who may write the client socket, and when:
   party can write the socket, and HTTP response order is preserved;
 * the descriptor crosses via ``SCM_RIGHTS``, i.e. dup semantics: the
   host's copy shares file status flags with the reactor's non-blocking
-  socket, so :func:`write_all_fd` must park in ``select`` on EAGAIN
+  socket, so :func:`write_all_fd` must park in ``poll`` on EAGAIN
   rather than ever flipping the socket to blocking under the reactor;
 * the grant is recorded (``offer.grant``) immediately before the call
   frame leaves the master.  From that moment the host *may* have
@@ -75,8 +75,10 @@ def write_all_fd(fd, data, timeout=30.0):
 
     The descriptor arrived via SCM_RIGHTS and therefore shares file
     status flags with the master's reactor socket — it is O_NONBLOCK
-    and must stay that way.  EAGAIN parks in ``select`` until writable,
-    bounded by ``timeout``.  On any failure raises
+    and must stay that way.  EAGAIN parks in ``poll`` until writable,
+    bounded by ``timeout`` (``poll``, not ``select``: a reactor with
+    many clients hands out descriptors above ``FD_SETSIZE``, which
+    ``select`` refuses with ``ValueError``).  On any failure raises
     :class:`StreamWriteError` carrying how many bytes escaped (the
     caller reports that to the master, which decides whether the HTTP
     framing is salvageable — it is only when the count is zero).
@@ -85,6 +87,7 @@ def write_all_fd(fd, data, timeout=30.0):
     total = len(view)
     deadline = time.monotonic() + timeout
     written = 0
+    poller = None
     while written < total:
         try:
             written += os.write(fd, view[written:])
@@ -93,8 +96,11 @@ def write_all_fd(fd, data, timeout=30.0):
             if remaining <= 0:
                 raise StreamWriteError(written, "write timeout") from None
             try:
-                select.select((), (fd,), (), min(remaining, 1.0))
-            except OSError as exc:
+                if poller is None:
+                    poller = select.poll()
+                    poller.register(fd, select.POLLOUT)
+                poller.poll(min(remaining, 1.0) * 1000)
+            except (OSError, ValueError) as exc:
                 raise StreamWriteError(written, exc) from None
         except OSError as exc:
             raise StreamWriteError(written, exc) from None
@@ -220,10 +226,9 @@ class ReplyStreamAdapter(ReplyStream):
             response = self._servlet.service(request)
             payload = _wire_payload(response, version, keep_alive)
             try:
-                nbytes = write_all_fd(fd, payload)
+                return write_all_fd(fd, payload)
             except StreamWriteError as exc:
                 return ("stream-failed", exc.written)
-            return ("streamed", nbytes)
         finally:
             try:
                 os.close(fd)

@@ -64,6 +64,44 @@ def no_ipc_litter():
     assert not leaked, f"test session left IPC files behind: {leaked}"
 
 
+#: ``select.select``'s descriptor ceiling on Linux.
+FD_SETSIZE = 1024
+
+
+@pytest.fixture()
+def above_fd_setsize():
+    """``dup2(fd)`` onto a free descriptor number above FD_SETSIZE,
+    returning the new number (closed at teardown) — what a reactor with
+    a thousand clients hands out.  Skips where RLIMIT_NOFILE is too low
+    to have one."""
+    import resource
+
+    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft <= FD_SETSIZE + 64:
+        pytest.skip(f"RLIMIT_NOFILE {soft} leaves no descriptor above "
+                    f"{FD_SETSIZE}")
+    opened = []
+
+    def dup(fd):
+        target = FD_SETSIZE + 16
+        while True:
+            try:
+                os.fstat(target)
+            except OSError:
+                break
+            target += 1
+        os.dup2(fd, target)
+        opened.append(target)
+        return target
+
+    yield dup
+    for fd in opened:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+
+
 @pytest.fixture()
 def repository():
     """A fresh global repository for tests that bind names."""

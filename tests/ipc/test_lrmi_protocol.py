@@ -187,6 +187,55 @@ class TestProtocolRoundTrips:
         assert proxy.call_back(callback) == 14
 
 
+class TestGenericDispatchBoundToExports:
+    """A peer forging the generic envelope can name only what the
+    export exports: ``revoke`` (authority the paper gives the creator),
+    a dunder that would rebind the capability, and an unknown name each
+    get a typed error, change nothing, and leave the stream usable."""
+
+    @pytest.mark.parametrize("method", ["revoke", "__setattr__", "frobnicate"])
+    def test_forged_method_name_is_refused(self, harness, method):
+        proxy = harness.lookup("unit")
+        capability = harness.kernel.exports.get(proxy._export_id)
+        target = capability._target
+        # what a rebind would install: an export of the forging side
+        args = ("_target", _capability("forger")) if method == "__setattr__" \
+            else ()
+        with pytest.raises(ProtocolError, match="exports no method"):
+            harness.client.call(proxy._export_id, method, args, {})
+        assert not capability.revoked
+        assert capability._target is target
+        assert harness.kernel.exports.get(proxy._export_id) is capability
+        assert proxy.ping() == 7
+        assert harness.client.call(proxy._export_id, "echo", (3,), {}) == 3
+
+    def test_typed_error_reply_keeps_the_connection(self, harness):
+        """An error reply arrives whole, whatever its type: a callee's
+        ``OSError`` is the callee's, not a dead wire (no close, no
+        replay of a call that already ran)."""
+
+        class DenyingImpl(UnitImpl):
+            def ping(self):
+                raise PermissionError("callee says no")
+
+        harness.kernel.bindings["denying"] = Domain("denying").run(
+            lambda: Capability.create(DenyingImpl(), label="denying"))
+        proxy = harness.lookup("denying")
+        with pytest.raises(PermissionError, match="callee says no"):
+            proxy.ping()
+        assert not harness.client_conn.closed
+        assert proxy.echo(5) == 5
+
+    def test_export_records_its_names(self):
+        table = ExportTable()
+        export_id = table.export(_capability())
+        assert table.named(export_id, "ping") is table.get(export_id)
+        with pytest.raises(ProtocolError):
+            table.named(export_id, "_target")
+        with pytest.raises(RevokedException):
+            table.named(export_id + 1, "ping")
+
+
 class TestMarshalLayer:
     def test_describe_real_capability_exports(self):
         peer = _Peer()

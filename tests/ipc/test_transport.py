@@ -151,8 +151,17 @@ def _blind_the_probe(monkeypatch):
     """Checkout hands back a dead pooled socket as if it were healthy —
     exactly the losing side of the probe-then-die race."""
     monkeypatch.setattr(transport, "PROBE_FRESH_S", 0.0)
-    monkeypatch.setattr(transport.select, "select",
-                        lambda r, w, x, t=0: ([], [], []))
+    monkeypatch.setattr(transport.select, "poll", _BlindPoll)
+
+
+class _BlindPoll:
+    """A ``select.poll`` that never reports an event."""
+
+    def register(self, fd, events):
+        pass
+
+    def poll(self, timeout=None):
+        return []
 
 
 class TestChannel:
@@ -395,6 +404,24 @@ class TestEndpoint:
         assert os.WEXITSTATUS(status) == 0
 
 
+def test_probe_takes_a_descriptor_above_fd_setsize(above_fd_setsize):
+    """A pooled socket numbered past ``select``'s ceiling is probed like
+    any other: kept while idle, evicted on EOF — not silently redialed
+    on every checkout."""
+    left, right = socket.socketpair()
+    high = socket.socket(fileno=above_fd_setsize(left.fileno()))
+    try:
+        channel = transport.Channel("unused.sock", timeout=1.0, pool_size=1)
+        connection = transport.Connection(high)
+        assert channel._healthy(connection)
+        right.close()
+        assert not channel._healthy(connection)
+    finally:
+        high.detach()  # the fixture closes the descriptor
+        left.close()
+        right.close()
+
+
 def test_rpc_server_process_bind_failure_not_swallowed(capfd):
     """The child used to exit 0 in silence when its bind failed."""
     server = RpcServerProcess({"echo": lambda p: p})
@@ -439,8 +466,11 @@ class TestTheMechanismsExistOnce:
 
     def test_only_the_core_probes_with_select(self):
         # web/streaming.py waits for *writability* of a client socket.
-        assert _files_containing("select.select(") == [
+        # Both probe with poll: select.select refuses descriptors above
+        # FD_SETSIZE, which a busy reactor hands out.
+        assert _files_containing("select.poll(") == [
             "ipc/transport.py", "web/streaming.py"]
+        assert _files_containing("select.select(") == []
 
     def test_users_keep_no_copy_of_their_own(self):
         for name in ("ipc/ntrpc.py", "ipc/lrmi.py", "fleet/host.py"):

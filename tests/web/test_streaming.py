@@ -14,7 +14,9 @@ import time
 
 import pytest
 
-from repro.web import JKernelWebServer, Servlet, ServletResponse
+from repro.core import Domain
+from repro.ipc import lrmi
+from repro.web import JKernelWebServer, Servlet, ServletRequest, ServletResponse
 from repro.web import streaming
 from repro.web.client import fetch_many, fetch_once, fetch_pipelined
 from repro.web.streaming import STREAMED, StreamWriteError, write_all_fd
@@ -144,6 +146,96 @@ class TestStreamedReplies:
             assert registration.account.requests == 3
 
 
+class TestStreamedRepliesGenericWire(TestStreamedReplies):
+    """The same streamed-reply suite with the wire forced generic (as
+    ``tests/ipc/conftest.py`` runs the xproc matrix): the page call then
+    goes out as the tagged envelope, and every behaviour must hold."""
+
+    @pytest.fixture(autouse=True)
+    def generic_wire(self, monkeypatch):
+        # Patched before any host forks, so both ends agree.
+        monkeypatch.setattr(lrmi, "COMPILED_WIRE", False)
+
+
+class _FrameSpy:
+    """Records the marshal format of every fd-granting frame this
+    process sends: the streamed page calls."""
+
+    def __init__(self, monkeypatch):
+        self.formats = []
+        original = lrmi._Connection._send_built
+
+        def spying(connection, frame, splice_at, descriptors, fds=()):
+            if fds:
+                self.formats.append(frame[5])
+            return original(connection, frame, splice_at, descriptors, fds)
+
+        monkeypatch.setattr(lrmi._Connection, "_send_built", spying)
+
+
+def _read_response(sock, size):
+    sock.settimeout(5.0)
+    data = b""
+    while len(data) < size:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+class TestStreamedCallFrame:
+    """Which frame the streamed page call goes out as: the compiled
+    MF_CALL for an unrestricted caller, the generic envelope (carrying
+    the compressed access-control context) for a restricted one or with
+    the compiled wire switched off."""
+
+    @staticmethod
+    def _serve_one(gateway, caller=None):
+        left, right = socket.socketpair()
+        try:
+            offer = streaming.open_offer(left.fileno(), "HTTP/1.0", False)
+            request = ServletRequest("GET", "/servlet/frame",
+                                     {"Host": "x", "Accept": "*/*"})
+            call = lambda: gateway.service(request)  # noqa: E731
+            result = call() if caller is None else caller.run(call)
+            assert result is STREAMED
+            assert offer.streamed and not offer.failed
+            response = _read_response(right, offer.nbytes)
+            assert len(response) == offer.nbytes
+            assert response.endswith(b"frame-body")
+        finally:
+            streaming.close_offer()
+            left.close()
+            right.close()
+
+    def test_unrestricted_call_is_compiled_restricted_is_generic(
+            self, monkeypatch):
+        spy = _FrameSpy(monkeypatch)
+        restricted = Domain("restricted-caller")
+        restricted.set_policy(["kv.read"])
+        try:
+            with JKernelWebServer(workers=1) as jk:
+                registration = jk.install_servlet_out_of_process(
+                    "/frame", _body_servlet(b"frame-body"))
+                gateway = registration.capability
+                self._serve_one(gateway)
+                self._serve_one(gateway, caller=restricted)
+                self._serve_one(gateway)
+        finally:
+            restricted.terminate()
+        assert spy.formats == [lrmi.MF_CALL, lrmi.MF_INLINE, lrmi.MF_CALL]
+
+    def test_generic_wire_sends_the_envelope(self, monkeypatch):
+        monkeypatch.setattr(lrmi, "COMPILED_WIRE", False)
+        spy = _FrameSpy(monkeypatch)
+        with JKernelWebServer(workers=1) as jk:
+            registration = jk.install_servlet_out_of_process(
+                "/frame", _body_servlet(b"frame-body"))
+            self._serve_one(registration.capability)
+        assert spy.formats == [lrmi.MF_INLINE]
+
+
 class TestWriteAllFd:
     def test_writes_larger_than_socket_buffer(self):
         """A payload far beyond the kernel buffer drains fully through
@@ -179,6 +271,38 @@ class TestWriteAllFd:
             write_all_fd(left.fileno(), b"x" * 4096)
         assert excinfo.value.written == 0
         left.close()
+
+    def test_descriptor_above_fd_setsize(self, above_fd_setsize):
+        """A client socket numbered past ``select``'s ceiling still
+        drains through the EAGAIN wait, and a stalled peer still ends in
+        a StreamWriteError carrying the count — never a ValueError after
+        bytes went out."""
+        left, right = socket.socketpair()
+        left.setblocking(False)
+        fd = above_fd_setsize(left.fileno())
+        payload = os.urandom(2 * 1024 * 1024)
+        received = bytearray()
+
+        def drain():
+            while len(received) < len(payload):
+                chunk = right.recv(65536)
+                if not chunk:
+                    break
+                received.extend(chunk)
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            assert write_all_fd(fd, payload) == len(payload)
+            reader.join(5.0)
+            assert bytes(received) == payload
+            # nobody reads now: the buffer fills, then the wait times out
+            with pytest.raises(StreamWriteError) as excinfo:
+                write_all_fd(fd, payload, timeout=0.2)
+            assert 0 < excinfo.value.written < len(payload)
+        finally:
+            left.close()
+            right.close()
 
     def test_streamed_sentinel_is_singular(self):
         assert repr(STREAMED) == "<STREAMED>"
