@@ -17,7 +17,7 @@ from repro.bench.baselines.com import (
     ComRegistry,
     create_instance,
 )
-from repro.ipc import RpcClient, null_server
+from repro.bench.baselines.ntrpc import RpcClient, null_server
 
 
 class _NullComponent:

@@ -5,22 +5,17 @@ requests to registered handlers; a client makes synchronous calls.  Every
 call crosses a genuine process boundary twice — the cost the paper's
 Table 2 contrasts with in-process calls (a factor of ~3000).
 
-It is also what the fleet coordinator (``repro.fleet``) speaks to remote
-hosts.  Supervising the server process and hardening the client (pool,
-checkout probe, whole-call deadline, replay, back-off) are the transport
-core's job (``repro.ipc.transport``); this module is the protocol: a
-request is ``method\x00payload``, a reply a status byte plus body;
-strictly request/reply, so an idle connection that turns readable is
-dead and one socket used under a lock is the whole pool; every failure
-is an :class:`RpcError` subclass; and every server answers
+It is a comparator, not part of the product: the product's one
+cross-process call is LRMI (``repro.ipc.lrmi``).  Supervising the server
+process and hardening the client (pool, checkout probe, whole-call
+deadline, replay, back-off) are the transport core's job
+(``repro.ipc.transport``); this module is the protocol: a request is
+``method\x00payload``, a reply a status byte plus body; strictly
+request/reply, so an idle connection that turns readable is dead and one
+socket used under a lock is the whole pool; every failure is an
+:class:`RpcError` subclass; and every server answers
 :data:`PING_METHOD` from the serve loop itself, so a ping proves the
 dispatch path is alive, not merely that the process holds the socket.
-
-Fault injection: the chaos harness (``repro.testing.chaos``) installs
-``_chaos`` here to model network **partitions** between named endpoints
-(both directions refused at the calling edge) and **heartbeat loss**
-(pings dropped while data calls still flow); see
-``ChaosConfig.partition`` / ``JK_CHAOS_PARTITION``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from __future__ import annotations
 import socket
 import threading
 
-from .transport import (
+from repro.ipc.transport import (
     CALL_TIMEOUT,
     Channel,
     EndpointProcess,
@@ -37,7 +32,7 @@ from .transport import (
     never_readable,
     socket_path,
 )
-from .wire import WireError, recv_frame, send_frame
+from repro.ipc.wire import WireError, recv_frame, send_frame
 
 _OK = 0
 _ERR = 1
@@ -48,9 +43,6 @@ _KIND_UNKNOWN = b"unknown"
 
 #: Reserved liveness method every :class:`RpcServer` answers itself.
 PING_METHOD = "__ping__"
-
-#: Fault-injection hook (``repro.testing.chaos``); None in production.
-_chaos = None
 
 
 class RpcError(Exception):
@@ -182,9 +174,7 @@ class RpcClient(Channel):
     * ``retries``/``backoff`` — bounded exponential-backoff retry after
       a transport failure.  ntrpc is strict request/reply, so a retried
       request may execute twice on the server — enable only for
-      idempotent method sets (the fleet control verbs are).
-    * ``endpoint``/``remote_endpoint`` — names for the chaos harness's
-      partition model; unnamed clients are never partitioned.
+      idempotent method sets.
     """
 
     transport_error = RpcTransportError
@@ -192,13 +182,10 @@ class RpcClient(Channel):
     idle_readable_ok = staticmethod(never_readable)
 
     def __init__(self, path, *, timeout=CALL_TIMEOUT, call_deadline=None,
-                 retries=0, backoff=0.05, endpoint=None,
-                 remote_endpoint=None):
+                 retries=0, backoff=0.05):
         super().__init__(path, timeout=timeout, pool_size=1,
                          call_deadline=call_deadline, retries=retries,
                          backoff=backoff)
-        self.endpoint = endpoint
-        self.remote_endpoint = remote_endpoint
         # Calls are serialized: one socket, one request in flight.
         self._lock = threading.Lock()
 
@@ -208,21 +195,6 @@ class RpcClient(Channel):
             connection, _reused = self._checkout()
             self._release(connection)
         return self
-
-    def _check_chaos(self, method):
-        if (_chaos is None or self.endpoint is None
-                or self.remote_endpoint is None):
-            return
-        if _chaos.partitioned(self.endpoint, self.remote_endpoint):
-            raise RpcTransportError(
-                f"chaos: partition between {self.endpoint} and "
-                f"{self.remote_endpoint}")
-        if (method == PING_METHOD
-                and _chaos.heartbeat_lost(self.endpoint,
-                                          self.remote_endpoint)):
-            raise RpcDeadlineError(
-                f"chaos: heartbeat lost between {self.endpoint} and "
-                f"{self.remote_endpoint}")
 
     def _exchange_frames(self, connection, method, payload, deadline):
         sock = connection.sock
@@ -266,7 +238,6 @@ class RpcClient(Channel):
                 lambda connection: self._exchange_frames(
                     connection, method, payload, deadline_at),
                 deadline_at, retry=True,
-                before=lambda: self._check_chaos(method),
             )
 
     def ping(self, *, deadline=None):

@@ -1,4 +1,4 @@
-"""Multi-host fleet coordination over hardened ntrpc.
+"""Multi-host fleet coordination over the LRMI wire.
 
 The paper scales protection domains *within* one JVM; this package
 scales them *across* OS processes standing in for machines: a
@@ -7,8 +7,10 @@ scales them *across* OS processes standing in for machines: a
 fails placements over to survivors when a host dies, re-keys the
 fleet's HMAC capability tokens on every failover so stale references
 fail closed, and federates per-tenant quotas so a tenant cannot escape
-its budget by spanning hosts.  See ``docs/robustness-notes.md``
-("Multi-host" section) for the state machines.
+its budget by spanning hosts.  The fleet rides LRMI, the product's one
+cross-process call; a reference crosses hosts only as a signed token.
+See ``docs/robustness-notes.md`` ("Multi-host" section) for the state
+machines.
 """
 
 from .coordinator import (
@@ -20,9 +22,9 @@ from .coordinator import (
     wait_until,
 )
 from .host import FleetHostAgent, FleetHostProcess
-from .proto import PlacementGoneError
 from .quota import QuotaFederation
 from .tokens import (
+    PlacementGoneError,
     TokenAuthority,
     TokenError,
     TokenInvalidError,

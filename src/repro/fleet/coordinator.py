@@ -9,10 +9,10 @@ them.  The moving parts:
   capability token (``repro.fleet.tokens``) — the only form in which a
   fleet reference exists outside the coordinator;
 * **liveness** — a supervision thread pings every host each
-  ``heartbeat_interval`` seconds over the hardened ntrpc transport;
-  ``max_missed`` consecutive missed beats evict the host (the paper's
-  crash-containment story, one level up: the *host* is now the unit
-  that dies);
+  ``heartbeat_interval`` seconds with the host kernel's LRMI ``ping``
+  control verb; ``max_missed`` consecutive missed beats evict the host
+  (the paper's crash-containment story, one level up: the *host* is
+  now the unit that dies);
 * **failover** — eviction folds the host's quota slice, bumps the
   fleet epoch (re-keying every outstanding token: stale references
   fail closed, exactly like revoked capabilities), broadcasts the new
@@ -30,6 +30,12 @@ them.  The moving parts:
 * **revocation** — ``revoke(token)`` takes effect locally at once and
   a sweeper fans the token id out to every live host on the next beat
   (the PR 5 broadcast pattern, fleet-wide).
+
+Each host is reached through two LRMI clients: *data* (``place`` and
+``invoke``, under ``call_deadline``) and *control* (everything else,
+under ``ping_deadline``).  Every call to a host passes
+:meth:`FleetCoordinator._edge`, where the chaos harness models
+partitions and heartbeat loss.
 
 Knob relationship (validated at construction, see
 :func:`validate_liveness_knobs`): a heartbeat ping runs under
@@ -52,16 +58,23 @@ import time
 
 from repro.core.errors import DomainUnavailableException
 from repro.core.quota import HARD
-from repro.ipc.ntrpc import RpcClient, RpcError
+from repro.core.serial import dumps
+from repro.ipc.lrmi import DomainClient
 
-from .host import FleetHostProcess
-from .proto import PlacementGoneError, decode_reply, encode_request
+from .host import AGENT, FleetHostProcess
 from .quota import QuotaFederation
-from .tokens import TokenAuthority, TokenRevokedError
+from .tokens import PlacementGoneError, TokenAuthority, TokenRevokedError
 
 #: Host liveness states.
 LIVE = "live"
 DEAD = "dead"
+
+#: The data verbs sent again after a transport failure (a duplicate
+#: ``place`` replaces the domain the first one made).
+_RETRIED = ("place", "invoke")
+
+#: Fault-injection hook (``repro.testing.chaos``); None in production.
+_chaos = None
 
 
 class FleetError(DomainUnavailableException):
@@ -109,14 +122,19 @@ def validate_liveness_knobs(ping_deadline, heartbeat_interval, max_missed):
 
 
 class _HostRecord:
-    __slots__ = ("host_id", "process", "data", "control", "state",
-                 "missed_beats", "placements", "spawned", "epoch")
+    __slots__ = ("host_id", "process", "data_client", "control_client",
+                 "data", "control", "state", "missed_beats", "placements",
+                 "spawned", "epoch")
 
-    def __init__(self, host_id, process, data, control, spawned):
+    def __init__(self, host_id, process, data_client, control_client,
+                 spawned):
         self.host_id = host_id
         self.process = process
-        self.data = data
-        self.control = control
+        self.data_client = data_client
+        self.control_client = control_client
+        # The host's agent, looked up once through each client.
+        self.data = data_client.lookup(AGENT)
+        self.control = control_client.lookup(AGENT)
         self.state = LIVE
         self.missed_beats = 0
         self.placements = set()
@@ -145,8 +163,9 @@ class FleetCoordinator:
     :meth:`spawn_host`.  The liveness knobs are validated by
     :func:`validate_liveness_knobs` (see the module docstring for the
     relationship); ``call_deadline``/``retries``/``backoff`` configure
-    the *data-path* ntrpc client per host — fleet verbs are idempotent,
-    so transport retries are safe.
+    the *data-path* LRMI client per host, which retries only ``place``
+    and ``invoke``.  ``endpoint`` names this coordinator to the chaos
+    harness's partition model.
     """
 
     def __init__(self, registry=None, *, secret=None,
@@ -209,8 +228,8 @@ class FleetCoordinator:
         with self._lock:
             records = list(self._hosts.values())
         for record in records:
-            record.data.close()
-            record.control.close()
+            record.data_client.close()
+            record.control_client.close()
             if record.spawned and record.process is not None:
                 record.process.stop()
 
@@ -228,27 +247,33 @@ class FleetCoordinator:
             host_id, registry if registry is not None else self.registry,
             secret=self.tokens.secret, epoch=self.tokens.epoch,
         ).start()
-        self.register_host(process, spawned=True)
+        try:
+            self.register_host(process, spawned=True)
+        except BaseException:
+            process.stop()  # nobody else holds it
+            raise
         return process
 
     def register_host(self, process, *, spawned=False):
         """Register a started :class:`FleetHostProcess` for placement."""
         host_id = process.host_id
-        data = RpcClient(
+        data = DomainClient(
             process.path, call_deadline=self.call_deadline,
             retries=self.retries, backoff=self.backoff,
-            endpoint=self.endpoint, remote_endpoint=host_id,
+            idempotent=_RETRIED,
         )
-        control = RpcClient(
-            process.path, call_deadline=self.ping_deadline,
-            endpoint=self.endpoint, remote_endpoint=host_id,
-        )
-        record = _HostRecord(host_id, process, data, control, spawned)
-        with self._lock:
-            if host_id in self._hosts and \
-                    self._hosts[host_id].state == LIVE:
-                raise ValueError(f"host {host_id!r} already registered")
-            self._hosts[host_id] = record
+        control = DomainClient(process.path, call_deadline=self.ping_deadline)
+        try:
+            record = _HostRecord(host_id, process, data, control, spawned)
+            with self._lock:
+                if host_id in self._hosts and \
+                        self._hosts[host_id].state == LIVE:
+                    raise ValueError(f"host {host_id!r} already registered")
+                self._hosts[host_id] = record
+        except BaseException:
+            data.close()
+            control.close()
+            raise
         # A late joiner must trust only current-epoch tokens and must
         # honour every revocation issued before it existed.  Failures
         # here are retried after the next successful heartbeat.
@@ -278,16 +303,23 @@ class FleetCoordinator:
             return [record for record in self._hosts.values()
                     if record.state == LIVE]
 
-    # -- rpc helpers -------------------------------------------------------
-    @staticmethod
-    def _verb(client, verb, request, deadline=None):
-        body = client.call(verb, encode_request(request),
-                           deadline=deadline)
-        return decode_reply(body)
-
-    def _control(self, record, verb, request):
-        return self._verb(record.control, verb, request,
-                          deadline=self.ping_deadline)
+    # -- the edge to a host ------------------------------------------------
+    def _edge(self, record, heartbeat=False):
+        """``record``, once the chaos harness (when armed) lets a call
+        from this coordinator reach its host: a partition refuses every
+        call, heartbeat loss only the ping — both as the
+        ``DomainUnavailableException`` an unreachable host raises."""
+        if _chaos is not None:
+            if _chaos.partitioned(self.endpoint, record.host_id):
+                raise DomainUnavailableException(
+                    f"chaos: partition between {self.endpoint} and "
+                    f"{record.host_id}")
+            if heartbeat and _chaos.heartbeat_lost(self.endpoint,
+                                                   record.host_id):
+                raise DomainUnavailableException(
+                    f"chaos: heartbeat lost between {self.endpoint} and "
+                    f"{record.host_id}")
+        return record
 
     # -- epoch / revocation convergence ------------------------------------
     def _sync_epoch(self, record):
@@ -307,8 +339,8 @@ class FleetCoordinator:
         if record.epoch is not None and record.epoch >= epoch:
             return True
         try:
-            reply = self._control(record, "epoch", {"epoch": epoch})
-        except RpcError:
+            reply = self._edge(record).control.epoch({"epoch": epoch})
+        except DomainUnavailableException:
             return False  # retried after the next successful beat
         record.epoch = int(reply["epoch"])
         return True
@@ -323,8 +355,8 @@ class FleetCoordinator:
         if not revoked:
             return True
         try:
-            self._control(record, "revoke", {"ids": revoked})
-        except RpcError:
+            self._edge(record).control.revoke_tokens({"ids": revoked})
+        except DomainUnavailableException:
             # Re-queue for the sweeper: hosts union the ids, so the
             # fleet-wide resend is idempotent.
             with self._lock:
@@ -353,7 +385,7 @@ class FleetCoordinator:
             self._placements[name] = placement
         try:
             record = self._least_loaded()
-            reply = self._verb(record.data, "place", {
+            reply = self._edge(record).data.place({
                 "placement_id": name, "kind": kind, "tenant": tenant,
             })
         except BaseException:
@@ -390,14 +422,18 @@ class FleetCoordinator:
         """Invoke a method on the placement a token references.
 
         Fail-closed order: token authenticity and epoch, revocation,
-        quota verdict, then routing.  Transport failures surface as
-        :class:`FleetUnavailableError` (503 + Retry-After at the web
-        layer), never a hang and never a raw ``OSError``.
+        data-only arguments, quota verdict, then routing.  Transport
+        failures surface as :class:`FleetUnavailableError` (503 +
+        Retry-After at the web layer), never a hang and never a raw
+        ``OSError``.
         """
         claims = self.tokens.verify(token)
         if claims["tid"] in self._revoked:
             raise TokenRevokedError(
                 f"token {claims['tid']} was revoked fleet-wide")
+        # Data only: NotSerializableError for a capability at any
+        # depth, before LRMI could export it as a live proxy.
+        dumps(args)
         tenant = claims.get("tenant")
         if tenant is not None:
             self.federation.charge_request(tenant)
@@ -416,10 +452,10 @@ class FleetCoordinator:
                 f"placement {placement.name!r} is failing over",
                 retry_after=self.blackout_hint)
         try:
-            reply = self._verb(record.data, "invoke", {
-                "token": token, "method": method, "args": list(args),
+            reply = self._edge(record).data.invoke({
+                "token": token, "method": method, "args": args,
             })
-        except RpcError as exc:
+        except DomainUnavailableException as exc:
             raise FleetUnavailableError(
                 f"host {record.host_id!r} unreachable mid-call: {exc}",
                 retry_after=self.blackout_hint) from None
@@ -443,9 +479,10 @@ class FleetCoordinator:
         failed = False
         for record in records:
             try:
-                self._control(record, "revoke", {"ids": sorted(pending)})
+                self._edge(record).control.revoke_tokens(
+                    {"ids": sorted(pending)})
                 reached += 1
-            except RpcError:
+            except DomainUnavailableException:
                 failed = True  # retried next beat
         # Cleared only once every live host has actually heard the set;
         # with zero live hosts nobody has, so it stays pending for the
@@ -464,8 +501,9 @@ class FleetCoordinator:
                 if self._stop.is_set():
                     return
                 try:
-                    record.control.ping(deadline=self.ping_deadline)
-                except RpcError:
+                    self._edge(record, heartbeat=True) \
+                        .control_client.control("ping")
+                except DomainUnavailableException:
                     record.missed_beats += 1
                     if record.missed_beats >= self.max_missed:
                         self._evict(record, "missed heartbeats")
@@ -483,8 +521,8 @@ class FleetCoordinator:
 
     def _reconcile(self, record):
         try:
-            report = self._control(record, "quota_report", {})
-        except RpcError:
+            report = self._edge(record).control.quota_report({})
+        except DomainUnavailableException:
             return  # the beat loop scores reachability, not this
         self.federation.ingest(record.host_id, report)
 
@@ -494,23 +532,25 @@ class FleetCoordinator:
             if record.state == DEAD:
                 return
             record.state = DEAD
+            # Re-key in the same hold that marks the host dead, so no
+            # reader sees it dead under the old epoch: every token
+            # minted before this instant is now stale, fleet-wide,
+            # including on hosts this coordinator cannot reach (they
+            # fail closed the moment they heal and hear the epoch).
+            epoch = self.tokens.bump_epoch()
+            self.evictions.append({"host_id": record.host_id,
+                                   "reason": reason, "epoch": epoch,
+                                   "at_beat": self._beats})
             orphaned = [self._placements[name]
                         for name in sorted(record.placements)
                         if name in self._placements]
             record.placements.clear()
-        record.data.close()
-        record.control.close()
+        record.data_client.close()
+        record.control_client.close()
         # The host's last reconciled report retires into the retained
         # base: its replacement reports from zero without resetting any
         # tenant's budget position.
         self.federation.fold_host(record.host_id)
-        # Re-key: every token minted before this instant is now stale,
-        # fleet-wide, including on hosts this coordinator cannot reach
-        # (they fail closed the moment they heal and hear the epoch).
-        epoch = self.tokens.bump_epoch()
-        self.evictions.append({"host_id": record.host_id,
-                               "reason": reason, "epoch": epoch,
-                               "at_beat": self._beats})
         survivors = self._live_records()
         for survivor in survivors:
             # A failed fanout is NOT final: record.epoch stays behind,
@@ -529,12 +569,12 @@ class FleetCoordinator:
                                key=lambda r: (len(r.placements),
                                               r.host_id)):
             try:
-                reply = self._verb(survivor.data, "place", {
+                reply = self._edge(survivor).data.place({
                     "placement_id": placement.name,
                     "kind": placement.kind,
                     "tenant": placement.tenant,
                 })
-            except RpcError:
+            except DomainUnavailableException:
                 continue
             with self._lock:
                 placement.host_id = survivor.host_id

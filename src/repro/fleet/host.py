@@ -1,18 +1,23 @@
-"""One fleet host: an OS process serving servlet domains over ntrpc.
+"""One fleet host: an OS process serving servlet domains over LRMI.
 
 The Remote Playground deployment (PAPERS.md) runs untrusted servlets on
-sacrificial machines; here each "machine" is a forked agent process —
-the same crash-containment boundary the cross-process LRMI hosts use
-(both are a ``repro.ipc.transport.EndpointProcess``), reached through
-ntrpc instead of the LRMI wire, because the coordinator needs exactly
-the fleet verbs, not a full marshalling proxy layer.
+sacrificial machines; here each "machine" is a forked
+:class:`~repro.ipc.lrmi.DomainHostProcess` whose one binding,
+:data:`AGENT`, is the capability of a :class:`FleetHostAgent` created in
+its own agent domain after the fork.  The coordinator reaches it over
+the ordinary LRMI wire: the agent's verbs are the :class:`IFleetHost`
+remote interface, the host kernel answers the ``ping`` heartbeat, and
+the token and placement errors cross as themselves (they are registered
+with ``repro.core.serial``, see ``repro.fleet.tokens``).
 
 The agent owns:
 
 * a **placement table** — ``place`` instantiates a domain from the
   host's setup registry (the callables survive the fork; nothing is
   pickled) and ``evict`` terminates it through the ordinary
-  ``Domain.terminate`` path, revoking its capabilities;
+  ``Domain.terminate`` path, revoking its capabilities; a second
+  ``place`` of an id the host holds replaces the first domain, which is
+  terminated, never orphaned;
 * a **token replica** — a :class:`~repro.fleet.tokens.TokenAuthority`
   built from the shared fleet secret whose epoch advances on coordinator
   broadcast, so the host itself rejects stale-epoch tokens fail-closed
@@ -26,6 +31,9 @@ The agent owns:
   microseconds, reported cumulatively through ``quota_report`` for the
   coordinator's reconcile/fold federation (the same protocol
   ``OutOfProcessRegistration`` uses over the LRMI control pipe).
+
+Fleet traffic is data only — a capability crosses hosts only as a
+signed token — so ``invoke``'s result must pass ``serial.dumps``.
 """
 
 from __future__ import annotations
@@ -34,12 +42,14 @@ import os
 import threading
 import time
 
-from repro.core.errors import DomainUnavailableException
-from repro.ipc.ntrpc import RpcServer
-from repro.ipc.transport import EndpointProcess, socket_path
+from repro.core import Capability, Domain, Remote
+from repro.core.serial import dumps
+from repro.ipc.lrmi import DomainHostProcess, exported_methods
 
-from .proto import PlacementGoneError, envelope
-from .tokens import TokenAuthority, TokenRevokedError
+from .tokens import PlacementGoneError, TokenAuthority, TokenRevokedError
+
+#: The name of the agent's binding on every fleet host.
+AGENT = "agent"
 
 #: Fault-injection hook (``repro.testing.chaos``); None in production.
 _chaos = None
@@ -55,7 +65,20 @@ class _Placement:
         self.capability = capability
 
 
-class FleetHostAgent:
+class IFleetHost(Remote):
+    """The fleet verbs, each a dict in and a dict out.  Token revocation
+    is ``revoke_tokens``: ``revoke`` is every capability's own method."""
+
+    def place(self, request): ...
+    def evict(self, request): ...
+    def invoke(self, request): ...
+    def revoke_tokens(self, request): ...
+    def epoch(self, request): ...
+    def quota_report(self, request): ...
+    def stats(self, request): ...
+
+
+class FleetHostAgent(IFleetHost):
     """The in-process agent state and verb handlers (fork-side)."""
 
     def __init__(self, host_id, registry, secret, epoch=0):
@@ -78,9 +101,13 @@ class FleetHostAgent:
         placement = _Placement(placement_id, kind,
                                request.get("tenant"), capability)
         with self._lock:
+            previous = self.placements.get(placement_id)
             self.placements[placement_id] = placement
-        from repro.ipc.lrmi import exported_methods
-
+        # A retried place, or a re-place onto a host that still holds
+        # the id: the domain it replaces would otherwise live on with
+        # nobody tracking it.
+        if previous is not None:
+            _terminate(previous)
         return {"host_id": self.host_id,
                 "methods": list(exported_methods(capability))}
 
@@ -89,9 +116,7 @@ class FleetHostAgent:
             placement = self.placements.pop(request["placement_id"], None)
         if placement is None:
             return {"evicted": False}
-        domain = getattr(placement.capability, "creator", None)
-        if domain is not None:
-            domain.terminate()
+        _terminate(placement)
         return {"evicted": True}
 
     def invoke(self, request):
@@ -111,8 +136,6 @@ class FleetHostAgent:
             raise PlacementGoneError(
                 f"placement {claims['placement']!r} is not on host "
                 f"{self.host_id!r}")
-        from repro.ipc.lrmi import exported_methods
-
         # Dispatch stays inside the capability's remote interface even
         # for a token that claims more: getattr must never reach a
         # private attribute of the servlet.
@@ -125,6 +148,7 @@ class FleetHostAgent:
             *request.get("args", ()))
         self._charge(placement.tenant,
                      (time.perf_counter() - start) * 1e6)
+        dumps(result)  # data only: NotSerializableError for a capability
         if _chaos is not None:
             # Chaos crash point: the host dies after executing the call
             # but before replying — mid-LRMI from the caller's view.
@@ -140,7 +164,7 @@ class FleetHostAgent:
             usage["cpu_ticks"] += int(cpu_us)
             usage["requests"] += 1
 
-    def revoke(self, request):
+    def revoke_tokens(self, request):
         with self._lock:
             self.revoked.update(request.get("ids", ()))
         return {"revoked": len(self.revoked)}
@@ -175,19 +199,15 @@ class FleetHostAgent:
                 "revoked": len(self.revoked),
             }
 
-    def handlers(self):
-        return {
-            "place": envelope(self.place),
-            "evict": envelope(self.evict),
-            "invoke": envelope(self.invoke),
-            "revoke": envelope(self.revoke),
-            "epoch": envelope(self.epoch),
-            "quota_report": envelope(self.quota_report),
-            "stats": envelope(self.stats),
-        }
+
+def _terminate(placement):
+    """End a placement's domain, revoking every capability it made."""
+    domain = getattr(placement.capability, "creator", None)
+    if domain is not None:
+        domain.terminate()
 
 
-class FleetHostProcess(EndpointProcess):
+class FleetHostProcess(DomainHostProcess):
     """Forks an agent process for one fleet host.
 
     ``registry`` maps a servlet *kind* to a setup callable returning a
@@ -197,11 +217,11 @@ class FleetHostProcess(EndpointProcess):
     """
 
     def __init__(self, host_id, registry, *, secret, epoch=0):
-        def serve():
+        def setup():
             agent = FleetHostAgent(host_id, registry, secret, epoch)
-            RpcServer(self.path, agent.handlers()).serve()
+            domain = Domain(f"fleet-agent-{host_id}")
+            return {AGENT: Capability.create(agent, domain=domain,
+                                             label=AGENT)}
 
-        super().__init__(socket_path(f"repro-fleet-{host_id}"),
-                         f"fleet host {host_id!r}", serve,
-                         error=DomainUnavailableException)
+        super().__init__(setup, name=f"fleet host {host_id}")
         self.host_id = host_id

@@ -33,7 +33,8 @@ import json
 import os
 import uuid
 
-from repro.core.errors import RevokedException
+from repro.core.errors import RemoteException, RevokedException
+from repro.core.serial import register_class
 
 #: Signature length in bytes (HMAC-SHA256).
 _MAC_BYTES = 32
@@ -54,6 +55,19 @@ class TokenStaleError(TokenError):
 
 class TokenRevokedError(TokenError):
     """The token id was explicitly revoked (broadcast fleet-wide)."""
+
+
+class PlacementGoneError(RemoteException):
+    """The placement no longer exists on the host (evicted or never
+    placed there — e.g. a frame that outlived a failover), or the token
+    does not authorize the method called on it."""
+
+
+# Registered beside the kernel's own errors, so a host-side verdict
+# crosses the LRMI wire and re-raises as itself in the coordinator.
+for _error in (TokenError, TokenInvalidError, TokenStaleError,
+               TokenRevokedError, PlacementGoneError):
+    register_class(_error, name=f"fleet.{_error.__name__}")
 
 
 def _b64(data):

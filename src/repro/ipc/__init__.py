@@ -1,7 +1,8 @@
-"""OS IPC substrate: local RPC between real processes (Table 2's
-NT-RPC row) and the cross-process LRMI transport that deploys whole
-J-Kernel domains out-of-process behind marshalling capability proxies.
-Table 2's COM comparator lives in ``repro.bench.baselines.com``."""
+"""OS IPC substrate: the cross-process LRMI transport that deploys whole
+J-Kernel domains out-of-process behind marshalling capability proxies —
+the product's one cross-process call, which the fleet rides too.
+Table 2's comparators, NT-RPC and COM, live in
+``repro.bench.baselines.ntrpc`` and ``repro.bench.baselines.com``."""
 
 from .lrmi import (
     DomainClient,
@@ -12,39 +13,17 @@ from .lrmi import (
     connect,
     exported_methods,
 )
-from .ntrpc import (
-    PING_METHOD,
-    RpcClient,
-    RpcDeadlineError,
-    RpcError,
-    RpcHandlerError,
-    RpcMethodNotFound,
-    RpcServer,
-    RpcServerProcess,
-    RpcTransportError,
-    null_server,
-)
 from .wire import WireError, recv_frame, send_frame
 
 __all__ = [
     "DomainClient",
     "DomainHostProcess",
     "ExportTable",
-    "PING_METHOD",
     "ProtocolError",
     "RemoteCapability",
-    "RpcClient",
-    "RpcDeadlineError",
-    "RpcError",
-    "RpcHandlerError",
-    "RpcMethodNotFound",
-    "RpcServer",
-    "RpcServerProcess",
-    "RpcTransportError",
     "WireError",
     "connect",
     "exported_methods",
-    "null_server",
     "recv_frame",
     "send_frame",
 ]

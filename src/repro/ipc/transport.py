@@ -1,15 +1,16 @@
 """The transport core: one supervised endpoint, one client channel.
 
-Every process crossing here — the Table 2 ``ntrpc`` baseline the fleet
-rides, the cross-process LRMI domain hosts — carries the paper's
-guarantee that a callee "can neither block nor kill its caller's thread"
-through the same two mechanisms, which exist once, in this module:
+Every process crossing here — the cross-process LRMI domain hosts (the
+fleet's hosts among them) and the Table 2 ``ntrpc`` baseline
+(``repro.bench.baselines.ntrpc``) — carries the paper's guarantee that a
+callee "can neither block nor kill its caller's thread" through the same
+two mechanisms, which exist once, in this module:
 :class:`EndpointProcess` (fork a child that serves on a socket path and
 supervise it; :class:`SocketServer` is the accept loop it runs) and
 :class:`Channel` (the caller's pool, probe, deadline, replay, back-off).
-``ntrpc``, ``lrmi`` and ``fleet.host`` supply what is theirs: how a
-dialed socket is wrapped, what an idle-but-readable socket means, which
-typed errors to raise, which calls may be retried.
+``lrmi`` and ``ntrpc`` supply what is theirs: how a dialed socket is
+wrapped, what an idle-but-readable socket means, which typed errors to
+raise, which calls may be retried.
 """
 
 from __future__ import annotations
@@ -478,18 +479,14 @@ class Channel:
         finally:
             self._release(connection)
 
-    def _roundtrip(self, invoke, deadline, *, retry=False, before=None):
+    def _roundtrip(self, invoke, deadline, *, retry=False):
         """One whole call of ``invoke(connection)``, over by ``deadline``
-        (see :meth:`_deadline`).  ``retry`` marks it idempotent;
-        ``before`` runs ahead of every attempt and may veto it by
-        raising."""
+        (see :meth:`_deadline`).  ``retry`` marks it idempotent."""
         attempts = 1 + (self.retries if retry else 0)
         delay = self.backoff
         while True:
             attempts -= 1
             try:
-                if before is not None:
-                    before()
                 # The checkout is inside the loop: during an outage the
                 # failure IS the dial (connection refused), and retrying
                 # only the exchange would never bridge a restart.

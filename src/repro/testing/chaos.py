@@ -15,16 +15,18 @@ wrong answer.  This module is how the claim is exercised:
   and drops the connection, desynchronizing the peer's stream;
 * **socket-drop** — a framed send closes the socket instead;
 * **partition** — both directions between a named endpoint pair are
-  refused at the calling edge (the ntrpc transport carries endpoint
-  names), healable at runtime via :meth:`ChaosConfig.heal`;
+  refused at the calling edge (the fleet coordinator's edge to each
+  host, which knows both names), healable at runtime via
+  :meth:`ChaosConfig.heal`;
 * **heartbeat-loss** — pings between an endpoint pair are dropped
   while data calls still flow, the failure mode that distinguishes
   liveness probing from reachability.
 
 Faults install via hook variables *inside* the target modules
 (``repro.ipc.wire._chaos``, ``repro.ipc.lrmi._chaos``,
-``repro.ipc.ntrpc._chaos``, ``repro.web.prefork._chaos``,
-``repro.fleet.host._chaos``): production code pays one ``is not
+``repro.web.prefork._chaos``, ``repro.fleet.host._chaos``,
+``repro.fleet.coordinator._chaos``, ``repro.core.regions._chaos``):
+production code pays one ``is not
 None`` check when chaos is off, and the testing package is never
 imported outside tests unless a knob is set.  Because installation
 mutates interpreter state, forked children (prefork workers, domain
@@ -48,8 +50,12 @@ read by :func:`install_from_env` —
 ``JK_CHAOS_SCOPE``            ``any`` | ``child`` | ``parent``
 ``JK_CHAOS_PARTITION``        endpoint pairs to partition, e.g.
                               ``coordinator|h1,h2|h3``
-``JK_CHAOS_HEARTBEAT_LOSS``   endpoint pairs whose pings are dropped
+``JK_CHAOS_HEARTBEAT_LOSS``   endpoint pairs whose pings are dropped,
+                              in the same ``a|b`` form
 ============================  =======================================
+
+A pair entry without a ``|``, or with an empty side, is a
+``ValueError``, never silently dropped.
 """
 
 from __future__ import annotations
@@ -216,11 +222,12 @@ class ChaosConfig:
 
 def _target_modules():
     from repro.core import regions
+    from repro.fleet import coordinator as fleet_coordinator
     from repro.fleet import host as fleet_host
-    from repro.ipc import lrmi, ntrpc, wire
+    from repro.ipc import lrmi, wire
     from repro.web import prefork
 
-    return (wire, lrmi, ntrpc, prefork, fleet_host, regions)
+    return (wire, lrmi, prefork, fleet_host, fleet_coordinator, regions)
 
 
 def install(config):
@@ -252,11 +259,16 @@ def install_from_env(environ=None):
     )
 
     def pairs(name):
-        return tuple(
-            tuple(part.strip() for part in entry.split("|", 1))
-            for entry in env.get(name, "").split(",")
-            if "|" in entry
-        )
+        found = []
+        for entry in env.get(name, "").split(","):
+            if not entry.strip():
+                continue
+            a, bar, b = (part.strip() for part in entry.partition("|"))
+            if not (bar and a and b):
+                raise ValueError(
+                    f"{name}: {entry!r} is not an endpoint pair 'a|b'")
+            found.append((a, b))
+        return tuple(found)
 
     partitions = pairs("JK_CHAOS_PARTITION")
     heartbeat_loss = pairs("JK_CHAOS_HEARTBEAT_LOSS")

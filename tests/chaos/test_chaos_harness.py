@@ -22,16 +22,15 @@ from repro.web import prefork
 
 class TestInstallation:
     def test_install_arms_every_target_layer(self, chaos):
+        from repro.fleet import coordinator, host
+
         config = ChaosConfig(wire_delay_s=0.01)
         assert install(config) is config
-        assert wire._chaos is config
-        assert lrmi._chaos is config
-        assert prefork._chaos is config
+        layers = (wire, lrmi, prefork, host, coordinator)
+        assert all(layer._chaos is config for layer in layers)
         assert chaos.active() is config
         uninstall()
-        assert wire._chaos is None
-        assert lrmi._chaos is None
-        assert prefork._chaos is None
+        assert all(layer._chaos is None for layer in layers)
 
     def test_env_install_reads_every_knob(self, chaos):
         config = install_from_env({
@@ -79,13 +78,25 @@ class TestInstallation:
         assert not config.heartbeat_lost("coordinator", "h1")
 
     def test_partition_knob_alone_arms_the_hooks(self, chaos):
+        from repro.fleet import coordinator as fleet_coordinator
         from repro.fleet import host as fleet_host
-        from repro.ipc import ntrpc
 
         config = install_from_env({"JK_CHAOS_PARTITION": "a|b"})
         assert config is not None
-        assert ntrpc._chaos is config
+        assert fleet_coordinator._chaos is config
         assert fleet_host._chaos is config
+
+    @pytest.mark.parametrize("knob", ["JK_CHAOS_PARTITION",
+                                      "JK_CHAOS_HEARTBEAT_LOSS"])
+    @pytest.mark.parametrize("value", ["coordinator-h1", "a|b,c-d",
+                                       "|h1", "coordinator|", " | "])
+    def test_malformed_pair_is_rejected_not_dropped(self, chaos, knob,
+                                                    value):
+        """The dash form once documented for these knobs used to be
+        dropped in silence, arming nothing."""
+        with pytest.raises(ValueError, match=knob):
+            install_from_env({knob: value})
+        assert wire._chaos is None
 
 
 class TestPartitionModel:
@@ -115,9 +126,10 @@ class TestPartitionModel:
         assert not config.heartbeat_lost("a", "b")
 
     def test_unnamed_endpoints_are_never_partitioned(self, chaos):
-        """An RpcClient without endpoint names ignores the partition
-        model entirely — partitioning is opt-in per edge."""
-        from repro.ipc.ntrpc import RpcClient, RpcServer
+        """Only the fleet coordinator's edge to a host names its two
+        endpoints; any other client ignores the partition model
+        entirely — partitioning is opt-in per edge."""
+        from repro.bench.baselines.ntrpc import RpcClient, RpcServer
         import threading
 
         config = ChaosConfig(partitions=(("coordinator", "h1"),))

@@ -34,8 +34,8 @@ from repro.fleet import (
     TokenStaleError,
 )
 from repro.fleet.coordinator import wait_until
-from repro.fleet.proto import decode_reply, encode_request
-from repro.ipc.ntrpc import RpcClient, RpcError
+from repro.fleet.host import AGENT
+from repro.ipc import connect
 from repro.testing.chaos import ChaosConfig, install
 from tests.fleet.conftest import retry_call
 
@@ -106,13 +106,12 @@ class TestPartition:
         # the bump): push the broadcast as a re-admission would — over
         # fresh clients, eviction closed the record's for good — then it
         # fails closed too.
-        path = coordinator._hosts[victim_id].process.path
-        with RpcClient(path) as readmitted:
-            readmitted.call("epoch", encode_request(
-                {"epoch": coordinator.epoch}))
+        with connect(coordinator._hosts[victim_id].process) as readmitted:
+            agent = readmitted.lookup(AGENT)
+            agent.epoch({"epoch": coordinator.epoch})
             with pytest.raises(TokenStaleError):
-                decode_reply(readmitted.call("invoke", encode_request(
-                    {"token": token, "method": "echo", "args": ["x"]})))
+                agent.invoke(
+                    {"token": token, "method": "echo", "args": ["x"]})
 
     def test_dynamic_heal_restores_transport(self, fleet, chaos):
         """partition() and heal() act at the calling edge, so healing
@@ -203,7 +202,7 @@ class TestCrashMidInvoke:
         coordinator.spawn_host("h1")
         coordinator.spawn_host("h2")
         token = coordinator.place("front", "echo")
-        with pytest.raises((FleetUnavailableError, RpcError)):
+        with pytest.raises(FleetUnavailableError):
             coordinator.call(token, "echo", "boom")
         victim_id = coordinator.placements()["front"]
         assert wait_until(

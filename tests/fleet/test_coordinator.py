@@ -95,23 +95,20 @@ class TestPlacement:
     def test_unknown_kind_surfaces_remotely(self, fleet):
         coordinator = fleet()
         coordinator.spawn_host("h1")
-        from repro.core import RemoteException
-
-        with pytest.raises(RemoteException):
+        # The host's KeyError crosses the LRMI wire as itself.
+        with pytest.raises(KeyError, match="no-such-kind"):
             coordinator.place("front", "no-such-kind")
 
     def test_failed_place_rolls_back_the_name_reservation(self, fleet):
         """place() reserves the name under the lock (so a racing
         duplicate fails the existence check, not the insert) and must
         release the reservation on ANY failure — remote or local."""
-        from repro.core import RemoteException
-
         coordinator = fleet()
         with pytest.raises(NoLiveHostError):
             coordinator.place("front", "echo")
         assert "front" not in coordinator.placements()
         coordinator.spawn_host("h1")
-        with pytest.raises(RemoteException):
+        with pytest.raises(KeyError):
             coordinator.place("front", "no-such-kind")
         assert "front" not in coordinator.placements()
         token = coordinator.place("front", "echo")
@@ -180,10 +177,7 @@ class TestRevocation:
         record = coordinator._hosts["h1"]
 
         def host_knows():
-            from repro.fleet.proto import decode_reply, encode_request
-
-            body = record.control.call("stats", encode_request({}))
-            return decode_reply(body)["revoked"] >= 1
+            return record.control.stats({})["revoked"] >= 1
 
         assert wait_until(host_knows)
         # And the pending set drains once delivered.
@@ -194,8 +188,6 @@ class TestRevocation:
         """A host that joins AFTER a revocation was flushed still gets
         the full revoked-id set at registration — no hole in the
         host-side defence-in-depth layer."""
-        from repro.fleet.proto import decode_reply, encode_request
-
         coordinator = fleet()
         coordinator.spawn_host("h1")
         token = coordinator.place("front", "echo")
@@ -203,14 +195,11 @@ class TestRevocation:
         assert wait_until(lambda: not coordinator._pending_revocations)
         coordinator.spawn_host("h2")
         record = coordinator._hosts["h2"]
-        body = record.control.call("stats", encode_request({}))
-        assert decode_reply(body)["revoked"] >= 1
+        assert record.control.stats({})["revoked"] >= 1
 
     def test_revocations_pend_with_zero_live_hosts(self, fleet):
         """With nobody to tell, the sweeper must NOT mark the set
         delivered; the first host to register receives it."""
-        from repro.fleet.proto import decode_reply, encode_request
-
         coordinator = fleet()
         token = coordinator.tokens.mint("front", methods=("echo",))
         coordinator.revoke(token)
@@ -218,8 +207,7 @@ class TestRevocation:
         assert coordinator._pending_revocations
         coordinator.spawn_host("h1")
         record = coordinator._hosts["h1"]
-        body = record.control.call("stats", encode_request({}))
-        assert decode_reply(body)["revoked"] >= 1
+        assert record.control.stats({})["revoked"] >= 1
 
     def test_lookup_after_revoke_mints_a_usable_token(self, fleet):
         """Revocation kills the TOKEN, not the placement."""

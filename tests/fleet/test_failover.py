@@ -7,6 +7,7 @@ blackout having seen only typed errors — never a hang, never a raw
 ``OSError``.
 """
 
+import threading
 import time
 
 import pytest
@@ -55,6 +56,38 @@ class TestEviction:
         assert coordinator.epoch == 1
         assert len(coordinator.stats()["evictions"]) == 1
 
+    def test_no_reader_sees_the_host_dead_under_the_old_epoch(
+            self, fleet, monkeypatch):
+        """Eviction used to mark the host dead, let go of the lock, and
+        re-key only after folding its quota: in that gap ``hosts()``
+        read ``dead`` while ``lookup()`` still minted tokens of the
+        epoch about to go stale.  Folding is held open here, so the gap,
+        if any, stays open while the test looks."""
+        coordinator = fleet()
+        coordinator.spawn_host("h1")
+        host = coordinator.spawn_host("h2")
+        coordinator.place("front", "echo")
+        folding = threading.Event()
+        release = threading.Event()
+        fold_host = coordinator.federation.fold_host
+
+        def held_fold(host_id):
+            folding.set()
+            release.wait(10)
+            return fold_host(host_id)
+
+        monkeypatch.setattr(coordinator.federation, "fold_host", held_fold)
+        try:
+            host.kill()
+            assert wait_until(
+                lambda: coordinator.hosts()["h2"] == "dead", timeout=15)
+            assert coordinator.epoch == 1
+            assert coordinator.evictions[0]["epoch"] == 1
+            assert folding.wait(5)
+            assert coordinator.epoch == 1  # folding, not yet re-keying
+        finally:
+            release.set()
+
 
 class TestFailover:
     def test_kill_evict_replace_retry_bridges(self, fleet):
@@ -89,8 +122,6 @@ class TestFailover:
             self, fleet):
         """Defence in depth: the SURVIVOR's token replica heard the new
         epoch and refuses pre-failover tokens itself."""
-        from repro.fleet.proto import decode_reply, encode_request
-
         coordinator = fleet()
         hosts = {"h1": coordinator.spawn_host("h1"),
                  "h2": coordinator.spawn_host("h2")}
@@ -102,13 +133,12 @@ class TestFailover:
         survivor = coordinator._hosts[coordinator.placements()["front"]]
 
         def survivor_epoch():
-            body = survivor.control.call("stats", encode_request({}))
-            return decode_reply(body)["epoch"]
+            return survivor.control.stats({})["epoch"]
 
         assert wait_until(lambda: survivor_epoch() == 1, timeout=15)
         with pytest.raises(TokenStaleError):
-            decode_reply(survivor.data.call("invoke", encode_request(
-                {"token": token, "method": "echo", "args": ["x"]})))
+            survivor.data.invoke(
+                {"token": token, "method": "echo", "args": ["x"]})
 
     def test_heartbeat_resyncs_a_host_that_missed_the_broadcast(
             self, fleet):
@@ -116,20 +146,17 @@ class TestFailover:
         fanout RPC failed) must not stay wedged rejecting every
         current-epoch token: the heartbeat loop re-sends the epoch until
         the host acknowledges, so lookup()/rebind works again."""
-        from repro.fleet.proto import decode_reply, encode_request
-
         coordinator = fleet()
         coordinator.spawn_host("h1")
         token = coordinator.place("front", "echo")
         # Simulate the lost broadcast: re-key the fleet without telling
-        # anybody — exactly the state after a fanout RpcError.
+        # anybody — exactly the state after a failed fanout call.
         coordinator.tokens.bump_epoch()
         assert wait_until(
             lambda: coordinator._hosts["h1"].epoch == coordinator.epoch,
             timeout=15)
         record = coordinator._hosts["h1"]
-        body = record.control.call("stats", encode_request({}))
-        assert decode_reply(body)["epoch"] == coordinator.epoch
+        assert record.control.stats({})["epoch"] == coordinator.epoch
         # The pre-bump token is stale fail-closed; the rebind path
         # mints a token the re-synced host accepts.
         with pytest.raises(TokenStaleError):

@@ -3,22 +3,22 @@
 The e2e suites drive the agent across a fork; these tests call the
 verb handlers directly so the agent-side logic (placement table, token
 replica, revocation set, usage counters, envelope error mapping) is
-pinned — and measured — in the parent process.
+pinned — and measured — in the parent process.  What crosses the
+LRMI wire between coordinator and a forked host is pinned in
+``test_wire_boundary.py``.
 """
-
-import json
 
 import pytest
 
-from repro.core import RemoteException
-from repro.fleet import TokenAuthority, TokenRevokedError, TokenStaleError
-from repro.fleet.host import FleetHostAgent
-from repro.fleet.proto import (
+from repro.core import Capability
+from repro.fleet import (
     PlacementGoneError,
-    decode_reply,
-    encode_request,
-    envelope,
+    TokenAuthority,
+    TokenRevokedError,
+    TokenStaleError,
 )
+from repro.fleet.host import FleetHostAgent
+from repro.ipc import exported_methods
 from tests.fleet.conftest import REGISTRY
 
 pytestmark = pytest.mark.timeout(60)
@@ -57,6 +57,21 @@ class TestPlaceEvict:
         assert "front" not in agent.placements
         assert capability.creator.terminated
 
+    def test_second_place_terminates_the_domain_it_replaces(self, agent):
+        """A retried place, or a re-place onto a host that still holds
+        the id, used to overwrite the placement and leave the first
+        domain alive with nobody tracking it."""
+        agent.place({"placement_id": "front", "kind": "echo"})
+        first = agent.placements["front"].capability
+        agent.place({"placement_id": "front", "kind": "echo"})
+        second = agent.placements["front"].capability
+        assert second is not first
+        assert first.creator.terminated
+        assert not second.creator.terminated
+        reply = agent.invoke({"token": _mint(agent), "method": "echo",
+                              "args": ["x"]})
+        assert reply["result"] == "x"
+
     def test_evict_missing_placement_is_not_an_error(self, agent):
         assert agent.evict({"placement_id": "ghost"}) == \
             {"evicted": False}
@@ -92,7 +107,7 @@ class TestInvoke:
         agent.place({"placement_id": "front", "kind": "echo"})
         token = _mint(agent)
         claims = agent.tokens.verify(token)
-        agent.revoke({"ids": [claims["tid"]]})
+        agent.revoke_tokens({"ids": [claims["tid"]]})
         with pytest.raises(TokenRevokedError):
             agent.invoke({"token": token, "method": "echo",
                           "args": ["x"]})
@@ -158,37 +173,8 @@ class TestControlVerbs:
         assert stats["placements"] == ["front"]
         assert stats["epoch"] == 0
 
-    def test_handlers_cover_every_verb(self, agent):
-        assert set(agent.handlers()) == {
-            "place", "evict", "invoke", "revoke", "epoch",
+    def test_remote_interface_covers_every_verb(self, agent):
+        assert set(exported_methods(Capability.create(agent))) == {
+            "place", "evict", "invoke", "revoke_tokens", "epoch",
             "quota_report", "stats",
         }
-
-
-class TestEnvelope:
-    def test_typed_errors_cross_as_their_kind(self, agent):
-        handler = agent.handlers()["invoke"]
-        body = handler(encode_request(
-            {"token": _mint(agent, "ghost"), "method": "echo",
-             "args": []}))
-        with pytest.raises(PlacementGoneError):
-            decode_reply(body)
-
-    def test_success_envelope_round_trips(self, agent):
-        handler = agent.handlers()["epoch"]
-        assert decode_reply(handler(encode_request({"epoch": 2}))) == \
-            {"epoch": 2}
-
-    def test_untyped_errors_become_remote_exceptions(self):
-        def bad(request):
-            raise RuntimeError("boom")
-
-        body = envelope(bad)(encode_request({}))
-        assert not json.loads(body)["ok"]
-        with pytest.raises(RemoteException) as err:
-            decode_reply(body)
-        assert "boom" in str(err.value)
-
-    def test_empty_payload_decodes_as_empty_request(self, agent):
-        assert decode_reply(agent.handlers()["stats"](b""))[
-            "host_id"] == "h-test"

@@ -5,15 +5,13 @@ import threading
 
 import pytest
 
-from repro.ipc import (
+from repro.bench.baselines.ntrpc import (
     RpcClient,
     RpcError,
     RpcServerProcess,
-    WireError,
     null_server,
-    recv_frame,
-    send_frame,
 )
+from repro.ipc import WireError, recv_frame, send_frame
 
 
 class TestWire:
@@ -158,7 +156,7 @@ class TestNtRpcInProcess:
     deserves line-level pinning)."""
 
     def test_serve_connection_dispatch_and_errors(self):
-        from repro.ipc.ntrpc import _serve_connection
+        from repro.bench.baselines.ntrpc import _serve_connection
 
         a, b = socket.socketpair()
         handlers = {
@@ -189,7 +187,7 @@ class TestNtRpcInProcess:
     def test_serve_forever_in_thread(self, tmp_path):
         import uuid
 
-        from repro.ipc.ntrpc import serve_forever
+        from repro.bench.baselines.ntrpc import serve_forever
 
         path = str(tmp_path / f"rpc-{uuid.uuid4().hex[:8]}.sock")
         ready = threading.Event()

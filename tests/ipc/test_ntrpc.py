@@ -3,8 +3,9 @@
 PR 6 left ntrpc a Table 2 prototype: ``_serve_connection`` swallowed
 ``OSError``/``WireError`` with a bare except-pass, ``serve_forever``
 leaked the bound socket path, and the client had no deadlines, no
-retry, no liveness.  This suite pins the hardened behaviour the fleet
-coordinator depends on: typed errors for every failure mode, whole-call
+retry, no liveness.  This suite pins the hardened behaviour of Table 2's NT-RPC
+baseline (the fleet coordinator's transport until it moved onto
+LRMI): typed errors for every failure mode, whole-call
 deadlines that expire instead of hanging, bounded retry bridging a
 server-process restart, built-in heartbeat, graceful stop, and
 stale-socket recovery on bind.  The failure handling ntrpc shares with
@@ -19,7 +20,7 @@ import time
 
 import pytest
 
-from repro.ipc.ntrpc import (
+from repro.bench.baselines.ntrpc import (
     PING_METHOD,
     RpcClient,
     RpcDeadlineError,

@@ -19,11 +19,16 @@ import time
 
 import pytest
 
+from repro.bench.baselines.ntrpc import (
+    RpcClient,
+    RpcServer,
+    RpcServerProcess,
+    RpcTransportError,
+)
 from repro.core import Capability, Domain, DomainUnavailableException, Remote
 from repro.fleet import FleetHostProcess
-from repro.ipc import DomainHostProcess, RpcClient, RpcServer, connect
+from repro.ipc import DomainHostProcess, connect
 from repro.ipc import transport
-from repro.ipc.ntrpc import RpcServerProcess, RpcTransportError
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -313,8 +318,7 @@ class TestEndpoint:
     def test_socket_name_lives_in_the_temp_dir(self, endpoint):
         directory, name = os.path.split(endpoint.path)
         assert directory == tempfile.gettempdir()
-        assert re.fullmatch(r"repro-(rpc|lrmi|fleet-conformance)"
-                            r"-[0-9a-f]{12}\.sock", name)
+        assert re.fullmatch(r"repro-(rpc|lrmi)-[0-9a-f]{12}\.sock", name)
 
     def test_kill_leaves_path_restart_recovers_stop_unlinks(self, endpoint):
         assert endpoint.pid is None and not endpoint.alive()
@@ -473,7 +477,8 @@ class TestTheMechanismsExistOnce:
         assert _files_containing("select.select(") == []
 
     def test_users_keep_no_copy_of_their_own(self):
-        for name in ("ipc/ntrpc.py", "ipc/lrmi.py", "fleet/host.py"):
+        for name in ("bench/baselines/ntrpc.py", "ipc/lrmi.py",
+                     "fleet/host.py"):
             text = (SRC / name).read_text(encoding="utf-8")
             for mechanism in ("_wait_for_socket", "waitpid", "time.sleep(min",
                               "MSG_PEEK", "os.kill("):
