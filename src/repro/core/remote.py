@@ -23,7 +23,14 @@ from __future__ import annotations
 
 import inspect
 
+from .capability import Capability
 from .errors import RemoteInterfaceError
+
+#: Public members of :class:`Capability` (``revoke``, ``label``, ...).  A
+#: remote method of the same name would shadow the member on the stub.
+_CAPABILITY_MEMBERS = frozenset(
+    name for name in dir(Capability) if not name.startswith("_")
+)
 
 
 class Remote:
@@ -59,7 +66,8 @@ def remote_methods(implementation_cls):
     """Map of method name -> interface callable exposed via capabilities.
 
     Raises :class:`RemoteInterfaceError` if the class implements no remote
-    interface or an interface declares a non-callable public attribute.
+    interface, or an interface declares a non-callable public attribute or
+    a method named like a public member of :class:`Capability`.
     """
     interfaces = remote_interfaces(implementation_cls)
     if not interfaces:
@@ -76,6 +84,11 @@ def remote_methods(implementation_cls):
                 raise RemoteInterfaceError(
                     f"remote interface {iface.__name__} declares "
                     f"non-callable public attribute {name!r}"
+                )
+            if name in _CAPABILITY_MEMBERS:
+                raise RemoteInterfaceError(
+                    f"remote interface {iface.__name__} declares {name!r}, "
+                    "which would shadow Capability's own member"
                 )
             methods.setdefault(name, member)
     if not methods:

@@ -1,9 +1,11 @@
 """Mark-sweep garbage collector.
 
-Roots: every thread's frames (locals + operand stacks) and pending state,
-static fields of every loaded class in every loader, the intern table
+Roots: every live thread's frames (locals + operand stacks) and pending
+state, static fields of every loaded class in every loader, the intern table
 (unless the VM was configured with ``intern_weak=True`` — the fix the paper
 suggests for the ``String.intern`` shared leak), and host-pinned objects.
+The scheduler reaps a thread when it terminates, so a finished call's
+result is a root only if the host pinned it.
 
 The collector is what gives the J-Kernel's revocation and termination
 stories teeth: once a capability is revoked, its target is unreachable from

@@ -9,6 +9,10 @@ thread-segment design defends against), sleeping and deadlock detection.
 The paper's Table 1 row "thread info lookup" is the cost of finding the
 current thread; VM profiles select between a hashed lookup with validation
 (MS-VM-like) and a cached pointer (Sun-VM-like) — see ``current_thread``.
+
+The scheduler holds live threads only (a thread is reaped when it
+terminates), so a host that keeps a guest object a call returned must add
+it to ``vm.pinned`` for it to survive a collection.
 """
 
 from __future__ import annotations
@@ -118,7 +122,12 @@ class ThreadContext:
 
 
 class Scheduler:
-    """Round-robin, priority-aware green-thread scheduler."""
+    """Round-robin, priority-aware green-thread scheduler.
+
+    ``threads`` and ``_by_tid`` hold live threads only: ``run`` reaps a
+    thread right after the step that ends it.  A finished thread's result
+    is no GC root, so a host that holds it must pin it in ``vm.pinned``.
+    """
 
     def __init__(self, vm, quantum=64, thread_lookup="cached"):
         self.vm = vm
@@ -158,9 +167,6 @@ class Scheduler:
             if candidate is thread:
                 break
         return thread
-
-    def live_threads(self):
-        return [thread for thread in self.threads if thread.alive]
 
     # -- wakeups ------------------------------------------------------------
     def wake(self, thread):
@@ -224,7 +230,7 @@ class Scheduler:
             if thread is None:
                 if self._advance_to_next_wake():
                     continue
-                live = self.live_threads()
+                live = self.threads
                 if not live:
                     return
                 if any(t.suspended and t.state == RUNNABLE for t in live):
@@ -243,17 +249,41 @@ class Scheduler:
             executed = interpreter.step(thread, min(self.quantum, steps_left))
             self.tick += executed
             steps_left -= max(executed, 1)
+            if thread.state == TERMINATED:
+                self._reap(thread)
+
+    def _reap(self, thread):
+        self.threads.remove(thread)
+        self._by_tid.pop(thread.tid, None)
+        self._current = None
+
+    def _abandon(self, thread):
+        """End a thread that ran out of steps as a stop would, without
+        running more guest code: free its monitors, unwind its segments."""
+        self.vm.monitors.discard(thread)
+        while thread.segments:
+            segment = thread.segments.pop()
+            thread.domain_tag = segment.saved_tag
+            segment.state[0] = False
+        thread.frames.clear()
+        thread.state = TERMINATED
+        self._reap(thread)
 
     def run_thread(self, thread, max_steps=10_000_000):
         """Run the scheduler until ``thread`` terminates; returns its result
         or raises its uncaught guest exception."""
         from .errors import JThrowable
 
-        self.run(max_steps=max_steps, until=lambda: thread.state == TERMINATED)
-        if thread.state != TERMINATED:
-            raise OutOfStepsError(
-                f"{thread!r} did not finish within {max_steps} steps"
-            )
+        try:
+            self.run(max_steps=max_steps,
+                     until=lambda: thread.state == TERMINATED)
+            if thread.state != TERMINATED:
+                raise OutOfStepsError(
+                    f"{thread!r} did not finish within {max_steps} steps"
+                )
+        except OutOfStepsError:
+            self._abandon(thread)
+            raise
         if thread.uncaught is not None:
             raise JThrowable(thread.uncaught)
         return thread.result

@@ -92,6 +92,17 @@ class TestRemoteInterfaces:
         with pytest.raises(RemoteInterfaceError):
             remote_methods(Impl)
 
+    @pytest.mark.parametrize(
+        "member", ["create", "creator", "guard", "label", "revoke", "revoked"]
+    )
+    def test_capability_member_name_rejected(self, member):
+        """A remote method named like a Capability member would shadow
+        it on the stub (a remote ``revoke`` would stop revocation)."""
+        iface = type("Iface", (Remote,), {member: lambda self: None})
+        impl = type("Impl", (iface,), {member: lambda self: 1})
+        with pytest.raises(RemoteInterfaceError, match=member):
+            Capability.create(impl())
+
 
 class TestStubs:
     def test_stub_implements_interfaces(self, cap):

@@ -6,12 +6,13 @@ import pytest
 from repro.jkvm import JKernelVM, generate_stub_classfile, stub_name_for
 from repro.jvm import ClassAssembler, interface
 from repro.jvm.classfile import CONSTRUCTOR_NAME
-from repro.jvm.errors import JThrowable, VMError
+from repro.jvm.errors import JThrowable, OutOfStepsError, VMError
 from repro.jvm.instructions import (
     ALOAD,
     ARETURN,
     BALOAD,
     BASTORE,
+    GOTO,
     IADD,
     ICONST,
     ILOAD,
@@ -23,6 +24,7 @@ from repro.jvm.instructions import (
     LDC_STR,
     RETURN,
 )
+from tests.support import spawned_threads
 
 SERVICE_IFACE = "svc/Service"
 
@@ -220,12 +222,56 @@ class TestLrmiSemantics:
             m.emit(IRETURN)
         client.define([drv.build()])
         driver = client.load("cl/ThrowDriver")
-        with pytest.raises(JThrowable, match="IllegalState"):
+        with spawned_threads(kernel.vm) as threads, \
+                pytest.raises(JThrowable, match="IllegalState"):
             kernel.vm.call_static(driver, "call", "(Lsvc/Thrower;)I",
                                   [cap], domain_tag=client.tag)
         # thread's segment stack must be balanced again
-        threads = [t for t in kernel.vm.scheduler.threads]
+        assert threads
         assert all(not t.segments for t in threads)
+
+    def test_segment_unwound_after_out_of_steps(self, world):
+        """A call abandoned inside the callee's segment is ended there:
+        its segments are unwound and its caller's heap tag restored."""
+        kernel, server, client, capability, _ = world
+        spinner_iface = interface(
+            "svc/Spinner", [("spin", "()I")], extends=("jk/Remote",)
+        )
+        ca = ClassAssembler("svc/SpinnerImpl",
+                            interfaces=("svc/Spinner", "jk/Remote"))
+        with ca.method(CONSTRUCTOR_NAME, "()V") as m:
+            m.emit(ALOAD, 0)
+            m.emit(INVOKESPECIAL, "java/lang/Object", CONSTRUCTOR_NAME,
+                   "()V")
+            m.emit(RETURN)
+        with ca.method("spin", "()I") as m:
+            loop = m.here()
+            m.emit(GOTO, loop.pc)
+        server.define([spinner_iface, ca.build()])
+        target = kernel.vm.construct(server.load("svc/SpinnerImpl"),
+                                     domain_tag=server.tag)
+        cap = server.create_capability(target)
+        client.share_from(server, "svc/Spinner")
+        drv = ClassAssembler("cl/SpinDriver")
+        with drv.method("call", "(Lsvc/Spinner;)I", 0x0009) as m:
+            m.emit(ALOAD, 0)
+            m.emit(INVOKEINTERFACE, "svc/Spinner", "spin", "()I")
+            m.emit(IRETURN)
+        client.define([drv.build()])
+        with spawned_threads(kernel.vm) as threads, \
+                pytest.raises(OutOfStepsError):
+            kernel.vm.call_static(client.load("cl/SpinDriver"), "call",
+                                  "(Lsvc/Spinner;)I", [cap],
+                                  domain_tag=client.tag, max_steps=2000)
+        (call_thread,) = threads
+        assert call_thread.state == "TERMINATED"
+        assert not call_thread.segments
+        assert call_thread.domain_tag == client.tag
+        assert kernel.vm.scheduler.threads == []
+        assert kernel.vm.call_static(
+            client_driver(client), "ping", f"(L{SERVICE_IFACE};)I",
+            [capability], domain_tag=client.tag,
+        ) == 99
 
     def test_heap_tag_restored_after_callee_athrow(self, world):
         """Regression: the stub's exception handler restores the caller's
@@ -274,14 +320,15 @@ class TestLrmiSemantics:
             m.handler(start, end, handler, None)
         client.define([drv.build()])
         driver = client.load("cl/CatchDriver")
-        result = kernel.vm.call_static(
-            driver, "probe", "(Lsvc/Thrower2;)Ljava/lang/Object;", [cap],
-            domain_tag=client.tag,
-        )
+        with spawned_threads(kernel.vm) as threads:
+            result = kernel.vm.call_static(
+                driver, "probe", "(Lsvc/Thrower2;)Ljava/lang/Object;", [cap],
+                domain_tag=client.tag,
+            )
         assert result is not None
         # the post-catch allocation landed on the *caller's* heap account
         assert kernel.vm.heap.owner_of(result) == client.tag
-        call_thread = kernel.vm.scheduler.threads[-1]
+        call_thread = threads[-1]
         assert call_thread.domain_tag == client.tag
         assert not call_thread.segments
 

@@ -48,6 +48,7 @@ from repro.jvm.instructions import (
     NEW,
     RETURN,
 )
+from tests.support import spawned_threads
 
 PUBLIC_STATIC = 0x0009
 
@@ -434,9 +435,11 @@ class VMWorld:
         return (OK, first) + after
 
     def callee_throw(self):
-        outcome = self._call("boom", f"(L{IFACE};)I", [self.cap])
+        with spawned_threads(self.vm) as threads:
+            outcome = self._call("boom", f"(L{IFACE};)I", [self.cap])
         # unwound cleanly: no dangling segments on any guest thread
-        assert all(not t.segments for t in self.vm.scheduler.threads)
+        assert threads
+        assert all(not t.segments for t in threads)
         return outcome if isinstance(outcome, tuple) else (OK, outcome)
 
     def graph_args(self):

@@ -38,6 +38,7 @@ from repro.jvm.instructions import (
     PUTFIELD,
     RETURN,
 )
+from tests.support import spawned_threads
 
 IFACE = "svc/IStress"
 WORKERS = 6
@@ -255,11 +256,12 @@ def test_segment_pool_reuse_is_bounded_and_recycled(profile):
         m.emit(ILOAD, 2)
         m.emit(IRETURN)
     client.define([driver.build()])
-    result = vm.call_static(client.load("cl/Burst"), "burst",
-                            f"(L{IFACE};I)I", [cap, 200],
-                            domain_tag=client.tag)
+    with spawned_threads(vm) as threads:
+        result = vm.call_static(client.load("cl/Burst"), "burst",
+                                f"(L{IFACE};I)I", [cap, 200],
+                                domain_tag=client.tag)
     assert result == 200
-    burst_thread = vm.scheduler.threads[-1]
+    burst_thread = threads[-1]
     # one non-nested call chain: exactly one pooled segment, reused 200x
     assert len(burst_thread.segment_pool) == 1
     assert not burst_thread.segment_pool[0].state[0]

@@ -3,7 +3,7 @@ join, deadlock detection."""
 
 import pytest
 
-from repro.jvm import DeadlockError, JThrowable, MapResolver
+from repro.jvm import DeadlockError, JThrowable, MapResolver, OutOfStepsError
 from repro.jvm.instructions import (
     ALOAD,
     DUP,
@@ -58,6 +58,24 @@ def counting_thread_class(name, limit, do_yield=True):
 
     return assemble(name, build, super_name="java/lang/Thread",
                     fields=[("n", "I")])
+
+
+def joiner_thread_class(name):
+    """A Thread subclass whose run() joins its 'target', then sets 'done'."""
+    def build(ca):
+        with ca.method("run", "()V") as m:
+            m.emit(ALOAD, 0)
+            m.emit(GETFIELD, name, "target")
+            m.emit("invokevirtual", "java/lang/Thread", "join", "()V")
+            m.emit(ALOAD, 0)
+            m.emit(ICONST, 1)
+            m.emit(PUTFIELD, name, "done")
+            m.emit(RETURN)
+
+    return assemble(
+        name, build, super_name="java/lang/Thread",
+        fields=[("target", "Ljava/lang/Thread;"), ("done", "I")],
+    )
 
 
 def field_of(vm, obj, name):
@@ -199,20 +217,7 @@ class TestStopSuspend:
         assert field_of(vm, thread, "n") > progress
 
     def test_join_waits_for_target(self, vm):
-        def build(ca):
-            with ca.method("run", "()V") as m:
-                m.emit(ALOAD, 0)
-                m.emit(GETFIELD, "t/Joiner", "target")
-                m.emit("invokevirtual", "java/lang/Thread", "join", "()V")
-                m.emit(ALOAD, 0)
-                m.emit(ICONST, 1)
-                m.emit(PUTFIELD, "t/Joiner", "done")
-                m.emit(RETURN)
-
-        joiner_cf = assemble(
-            "t/Joiner", build, super_name="java/lang/Thread",
-            fields=[("target", "Ljava/lang/Thread;"), ("done", "I")],
-        )
+        joiner_cf = joiner_thread_class("t/Joiner")
         worker_cf = counting_thread_class("t/Worked", 200)
         loader = load_classes(vm, [joiner_cf, worker_cf], "threads")
         worker = vm.construct(loader.load("t/Worked"))
@@ -275,3 +280,116 @@ class TestDeadlock:
                                 "()Ljava/lang/Thread;", [])
         assert result is not None
         assert result.jclass.name == "java/lang/Thread"
+
+
+def lifecycle_class():
+    """Static, virtual and throwing methods for the reaping tests."""
+    def build(ca):
+        with ca.method("add", "(II)I", PUBLIC_STATIC) as m:
+            m.emit(ILOAD, 0)
+            m.emit(ILOAD, 1)
+            m.emit("iadd")
+            m.emit(IRETURN)
+        with ca.method("make", "()Ljava/lang/Object;", PUBLIC_STATIC) as m:
+            m.emit("new", "java/lang/Object")
+            m.emit(DUP)
+            m.emit(INVOKESPECIAL, "java/lang/Object", "<init>", "()V")
+            m.emit("areturn")
+        with ca.method("boom", "()V", PUBLIC_STATIC) as m:
+            m.emit("new", "java/lang/IllegalStateException")
+            m.emit(DUP)
+            m.emit(INVOKESPECIAL, "java/lang/IllegalStateException",
+                   "<init>", "()V")
+            m.emit("athrow")
+        with ca.method("spin", "(Ljava/lang/Object;)V", PUBLIC_STATIC) as m:
+            m.emit(ALOAD, 0)
+            m.emit(MONITORENTER)
+            loop = m.here()
+            m.emit(GOTO, loop.pc)
+        with ca.method("count", "(I)I", PUBLIC_STATIC) as m:
+            m.emit(ICONST, 0)
+            m.emit(ISTORE, 1)
+            loop = m.here()
+            m.emit(ILOAD, 1)
+            m.emit(ILOAD, 0)
+            done = m.label()
+            m.emit(IF_ICMPGE, done)
+            m.emit(IINC, 1, 1)
+            m.emit(GOTO, loop.pc)
+            m.mark(done)
+            m.emit(ILOAD, 1)
+            m.emit(IRETURN)
+        with ca.method("get", "()I") as m:
+            m.emit(ALOAD, 0)
+            m.emit(GETFIELD, "t/Life", "n")
+            m.emit(IRETURN)
+
+    return assemble("t/Life", build, fields=[("n", "I")])
+
+
+class TestLifecycle:
+    """The scheduler holds live threads only: a thread is reaped when it
+    terminates, and a call that runs out of steps is ended, not left
+    running."""
+
+    @pytest.fixture()
+    def life(self, vm):
+        return load_classes(vm, [lifecycle_class()], "life").load("t/Life")
+
+    def test_calls_leave_no_threads_behind(self, vm, life):
+        for i in range(500):
+            assert vm.call_static(life, "add", "(II)I", [i, 1]) == i + 1
+            box = vm.construct(life)
+            assert vm.call_virtual(box, "get", "()I") == 0
+            with pytest.raises(JThrowable, match="IllegalState"):
+                vm.call_static(life, "boom", "()V")
+        assert vm.scheduler.threads == []
+        assert vm.scheduler._by_tid == {}
+
+    def test_unpinned_result_is_collected(self, vm, life):
+        kept = vm.call_static(life, "make", "()Ljava/lang/Object;")
+        vm.pinned.add(kept)
+        dropped = vm.call_static(life, "make", "()Ljava/lang/Object;")
+        vm.collect()
+        assert vm.heap.contains(kept)
+        assert not vm.heap.contains(dropped)
+
+    def test_lookups_agree_after_reap(self, vm, life):
+        scheduler = vm.scheduler
+        assert vm.call_static(life, "add", "(II)I", [2, 3]) == 5
+        answers = set()
+        for lookup in ("cached", "hashed"):
+            scheduler.thread_lookup = lookup
+            answers.add(scheduler.current_thread())
+        assert answers == {None}
+
+    def test_join_and_is_alive_after_reap(self, vm):
+        loader = load_classes(
+            vm, [counting_thread_class("t/Reaped", 50),
+                 joiner_thread_class("t/LateJoiner")], "threads",
+        )
+        worker = vm.construct(loader.load("t/Reaped"))
+        vm.call_virtual(worker, "start", "()V")
+        vm.scheduler.run()
+        context = worker.native
+        assert context.state == "TERMINATED"
+        assert context not in vm.scheduler.threads
+        assert vm.call_virtual(worker, "isAlive", "()Z") == 0
+        joiner_class = loader.load("t/LateJoiner")
+        joiner = vm.construct(joiner_class)
+        joiner.fields[joiner_class.field_slots["target"]] = worker
+        vm.call_virtual(joiner, "start", "()V")
+        vm.scheduler.run(max_steps=10_000)
+        assert field_of(vm, joiner, "done") == 1
+
+    def test_out_of_steps_call_is_ended(self, vm, life):
+        locks = [vm.heap.new_object(vm.object_class) for _ in range(4)]
+        for lock in locks:
+            with pytest.raises(OutOfStepsError):
+                vm.call_static(life, "spin", "(Ljava/lang/Object;)V",
+                               [lock], max_steps=1000)
+        # count(1000) needs about 5 000 steps; no spinner may take a share
+        assert vm.call_static(life, "count", "(I)I", [1000],
+                              max_steps=20_000) == 1000
+        assert vm.scheduler.threads == []
+        assert all(vm.monitors.owner(lock) is None for lock in locks)

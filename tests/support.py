@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.jvm import VM, ClassAssembler, MapResolver
 from repro.jvm.classfile import (
     ACC_PRIVATE,
@@ -56,3 +58,23 @@ def static_method(ca, name, desc, emit):
 
 def fresh_vm(profile="sunvm", **kwargs):
     return VM(profile=profile, **kwargs)
+
+
+@contextmanager
+def spawned_threads(vm):
+    """Record the ``ThreadContext`` of every guest thread spawned inside
+    the block.  The scheduler reaps a thread when it terminates, so a
+    test that inspects a finished call's thread keeps it from here."""
+    spawn = vm.scheduler.spawn
+    recorded = []
+
+    def recording(*args, **kwargs):
+        thread = spawn(*args, **kwargs)
+        recorded.append(thread)
+        return thread
+
+    vm.scheduler.spawn = recording
+    try:
+        yield recorded
+    finally:
+        del vm.scheduler.spawn
