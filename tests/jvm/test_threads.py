@@ -393,3 +393,56 @@ class TestLifecycle:
                               max_steps=20_000) == 1000
         assert vm.scheduler.threads == []
         assert all(vm.monitors.owner(lock) is None for lock in locks)
+
+
+def lock_classes():
+    """``t/Spinner`` takes the static lock and spins; ``t/Waiter`` takes
+    it, sets ``done`` and lets it go."""
+    def spinner(ca):
+        with ca.method("run", "()V") as m:
+            m.emit(GETSTATIC, "t/Spinner", "lock")
+            m.emit(MONITORENTER)
+            loop = m.here()
+            m.emit(GOTO, loop.pc)
+
+    def waiter(ca):
+        with ca.method("run", "()V") as m:
+            m.emit(GETSTATIC, "t/Spinner", "lock")
+            m.emit(MONITORENTER)
+            m.emit(ALOAD, 0)
+            m.emit(ICONST, 1)
+            m.emit(PUTFIELD, "t/Waiter", "done")
+            m.emit(GETSTATIC, "t/Spinner", "lock")
+            m.emit(MONITOREXIT)
+            m.emit(RETURN)
+
+    return [
+        assemble("t/Spinner", spinner, super_name="java/lang/Thread",
+                 fields=[("lock", "Ljava/lang/Object;", PUBLIC_STATIC)]),
+        assemble("t/Waiter", waiter, super_name="java/lang/Thread",
+                 fields=[("done", "I")]),
+    ]
+
+
+class TestDyingHolder:
+    def test_stopped_holder_wakes_its_waiter(self, vm):
+        """Stopping a lock holder frees its monitor; the thread blocked on
+        it must get the lock, not be left BLOCKED until a deadlock."""
+        loader = load_classes(vm, lock_classes(), "threads")
+        spinner_class = loader.load("t/Spinner")
+        lock = vm.heap.new_object(vm.object_class)
+        vm.pinned.add(lock)
+        spinner_class.static_slots[spinner_class.static_index["lock"]] = lock
+        holder = vm.construct(spinner_class)
+        waiter = vm.construct(loader.load("t/Waiter"))
+        vm.call_virtual(holder, "start", "()V")
+        vm.scheduler.run_for(200)
+        assert vm.monitors.owner(lock) is holder.native
+        vm.call_virtual(waiter, "start", "()V")
+        vm.scheduler.run_for(200)
+        assert waiter.native.state == "BLOCKED"
+        vm.call_virtual(holder, "stop", "()V")
+        vm.scheduler.run(max_steps=100_000)
+        assert holder.native.uncaught.jclass.name == "java/lang/ThreadDeath"
+        assert field_of(vm, waiter, "done") == 1
+        assert vm.monitors.owner(lock) is None
