@@ -106,11 +106,7 @@ def collect(vm):
             if id(jstring) in marked
         }
 
-    prune = getattr(vm.monitors, "_registry", None)
-    if prune is not None:
-        vm.monitors._registry = {
-            key: entry for key, entry in prune.items() if id(entry[1]) in marked
-        }
+    vm.monitors.prune(marked)
 
     return {
         "live_before": live_before,

@@ -128,7 +128,9 @@ class Interpreter:
             top = False
         thread.uncaught = jobject
         thread.state = TERMINATED
-        self.vm.monitors.discard(thread)
+        wake = self.vm.scheduler.wake
+        for waiter in self.vm.monitors.discard(thread):
+            wake(waiter)
 
     def _find_handler(self, frame, fault_pc, jobject):
         for handler in frame.method.handlers:

@@ -110,7 +110,11 @@ class MonitorManagerBase:
         return monitor is not None and thread in monitor.wait_set
 
     def discard(self, thread):
-        """Remove a dying thread from every queue (Thread.stop support)."""
+        """Remove a dying thread from every queue and free the monitors it
+        owns (a stop, an uncaught throw, a call that ran out of steps).
+        Returns the threads that were blocked entering a freed monitor;
+        the caller wakes them, as after ``exit``."""
+        woken = []
         for monitor in self._all_monitors():
             if thread in monitor.entry_queue:
                 monitor.entry_queue.remove(thread)
@@ -119,13 +123,26 @@ class MonitorManagerBase:
             if monitor.owner is thread:
                 monitor.owner = None
                 monitor.count = 0
+                woken += monitor.entry_queue
+                monitor.entry_queue.clear()
+        return woken
+
+    def prune(self, marked):
+        """Forget the monitors of objects a collection freed; ``marked``
+        holds the ids of the objects that survived it."""
+        raise NotImplementedError
 
     def _all_monitors(self):
         raise NotImplementedError
 
 
 class ThinLockManager(MonitorManagerBase):
-    """Lock word stored directly in the object header (``obj.lockword``)."""
+    """Lock word stored directly in the object header (``obj.lockword``).
+
+    ``_inflated`` lists the objects whose lock word holds a monitor, so
+    ``discard`` can find a dying thread's monitors and ``prune`` can drop
+    the objects a collection freed.
+    """
 
     def __init__(self):
         self._inflated = []
@@ -134,11 +151,14 @@ class ThinLockManager(MonitorManagerBase):
         monitor = obj.lockword
         if monitor is None and create:
             monitor = obj.lockword = _Monitor()
-            self._inflated.append(monitor)
+            self._inflated.append(obj)
         return monitor
 
+    def prune(self, marked):
+        self._inflated = [obj for obj in self._inflated if id(obj) in marked]
+
     def _all_monitors(self):
-        return self._inflated
+        return [obj.lockword for obj in self._inflated]
 
 
 class HeavyMonitorManager(MonitorManagerBase):
@@ -182,6 +202,12 @@ class HeavyMonitorManager(MonitorManagerBase):
         for waiter in monitor.wait_set:
             if waiter is owner:
                 raise AssertionError("owner in own wait set")
+
+    def prune(self, marked):
+        self._registry = {
+            key: entry for key, entry in self._registry.items()
+            if id(entry[1]) in marked
+        }
 
     def _all_monitors(self):
         return [entry[0] for entry in self._registry.values()]

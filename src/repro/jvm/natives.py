@@ -387,8 +387,10 @@ def _deliver_stop(vm, thread, target, throwable):
         return
     target.pending_stop = throwable
     target.native_state.clear()
-    vm.monitors.discard(target)
-    vm.scheduler.wake(target)
+    scheduler = vm.scheduler
+    for waiter in vm.monitors.discard(target):
+        scheduler.wake(waiter)
+    scheduler.wake(target)
 
 
 def _thread_stop(vm, thread, args):

@@ -260,7 +260,8 @@ class Scheduler:
     def _abandon(self, thread):
         """End a thread that ran out of steps as a stop would, without
         running more guest code: free its monitors, unwind its segments."""
-        self.vm.monitors.discard(thread)
+        for waiter in self.vm.monitors.discard(thread):
+            self.wake(waiter)
         while thread.segments:
             segment = thread.segments.pop()
             thread.domain_tag = segment.saved_tag

@@ -104,8 +104,19 @@ class TestManagerUnit:
         blocked = ThreadContext("b")
         manager.try_enter(obj, owner)
         manager.try_enter(obj, blocked)
-        manager.discard(blocked)
+        assert manager.discard(blocked) == []
         assert manager.exit(obj, owner) == []
+
+    def test_discard_returns_waiters_of_freed_monitors(self, manager):
+        obj = _FakeObj()
+        owner = ThreadContext("o")
+        blocked = ThreadContext("b")
+        manager.try_enter(obj, owner)
+        manager.try_enter(obj, owner)  # recursion 2: still freed at once
+        assert not manager.try_enter(obj, blocked)
+        assert manager.discard(owner) == [blocked]
+        assert manager.owner(obj) is None
+        assert manager.try_enter(obj, blocked)
 
 
 def _locked_counter_classfile():
@@ -265,3 +276,46 @@ class TestGuestMonitors:
             vm.call_static(loader.load("m/NoOwn"), "bad",
                            "(Ljava/lang/Object;)V", [obj])
         assert "IllegalMonitorState" in str(info.value)
+
+
+def _listed_objects(monitors):
+    """The objects a monitor manager keeps a monitor for."""
+    if isinstance(monitors, ThinLockManager):
+        return list(monitors._inflated)
+    return [holder for _, holder in monitors._registry.values()]
+
+
+class TestMonitorPruning:
+    def test_collection_forgets_freed_objects_monitors(self, vm):
+        """Locking 1 000 fresh objects lists 1 000 monitors; once the
+        objects are collected, none of their monitors stays listed."""
+        def build(ca):
+            with ca.method("lockMany", "(I)V", PUBLIC_STATIC) as m:
+                m.emit(ICONST, 0)
+                m.emit(ISTORE, 1)
+                loop = m.here()
+                m.emit(ILOAD, 1)
+                m.emit(ILOAD, 0)
+                done = m.label()
+                m.emit(IF_ICMPGE, done)
+                m.emit("new", "java/lang/Object")
+                m.emit(DUP)
+                m.emit("invokespecial", "java/lang/Object", "<init>", "()V")
+                m.emit(DUP)
+                m.emit(MONITORENTER)
+                m.emit(MONITOREXIT)
+                m.emit(IINC, 1, 1)
+                m.emit(GOTO, loop.pc)
+                m.mark(done)
+                m.emit(RETURN)
+
+        loader = load_classes(vm, [assemble("m/Many", build)], "monitors")
+        kept = vm.heap.new_object(vm.object_class)
+        vm.pinned.add(kept)
+        assert vm.monitors.try_enter(kept, ThreadContext("host"))
+        vm.call_static(loader.load("m/Many"), "lockMany", "(I)V", [1000])
+        assert len(_listed_objects(vm.monitors)) == 1001
+        stats = vm.collect()
+        assert stats["collected"] >= 1000
+        assert _listed_objects(vm.monitors) == [kept]
+        assert vm.monitors.owner(kept) is not None
