@@ -36,9 +36,10 @@ class GuestUnwind(Exception):
     """A guest exception in flight inside the interpreter.
 
     ``ticks`` is how many instruction slots the raiser accounts for —
-    normally 1 (the faulting instruction), but a superinstruction that
-    faults midway reports its completed sub-instructions too, keeping
-    retired-tick accounting identical across dispatch tiers.
+    normally 1 (the faulting instruction), but a frameless call that
+    faults (:mod:`repro.jvm.frameless`) reports every instruction it
+    retired before the fault too, keeping retired-tick accounting
+    identical across dispatch tiers.
     """
 
     __slots__ = ("jobject", "ticks")
@@ -68,9 +69,9 @@ class Interpreter:
         """Execute up to ``max_instrs`` instructions of ``thread``.
 
         Threaded-code closures return how many instruction slots they
-        retired (superinstructions cover several), so tick accounting
-        matches the generic tier; a fused tail may overshoot the budget
-        by at most the width of one superinstruction.
+        retired (superinstructions and frameless calls cover several), so
+        tick accounting matches the generic tier; the last closure may
+        overshoot the budget by one superinstruction or one bounded call.
         """
         executed = 0
         use_threaded = self.use_threaded

@@ -53,6 +53,7 @@ class RuntimeClass:
         "initialized",
         "copy_plan",
         "code_streams",
+        "frameless",
     )
 
     def __init__(self, name, classfile, loader, superclass, interfaces):
@@ -79,6 +80,7 @@ class RuntimeClass:
         self.initialized = False
         self.copy_plan = None  # cached by repro.jkvm.copying on first crossing
         self.code_streams = {}  # (name, desc) -> threaded-code stream
+        self.frameless = {}  # (name, desc) -> (fn, is_leaf) or None
 
     def __repr__(self):
         loader_name = getattr(self.loader, "name", "<boot>")

@@ -27,28 +27,41 @@ Points of care:
   the interface-dispatch strategy is a measured VM-profile property
   (Table 1) that this tier must not optimize away.
 
+Frameless calls
+---------------
+
+The four invoke closures hand a call to a *bounded* method (one without
+a backward branch) to :mod:`repro.jvm.frameless`, which runs it as one
+generated Python function without allocating a :class:`Frame`.  The
+function returns the result and the ticks it retired, or materialises
+its frame at a deopt point and lets this tier carry on there.  What
+stays here is what can loop: driver loops, and any method the frameless
+tier deopts out of (allocation, throws, monitors, arrays).
+
 Superinstructions
 -----------------
 
-A peephole pass fuses the hottest multi-instruction idioms into one
-closure, chiefly the ones the LRMI stub generator emits
-(:mod:`repro.jkvm.stubgen`):
+A peephole pass fuses the multi-instruction idioms of loops into one
+closure:
 
-* ``ALOAD · GETFIELD · DUP · IFNONNULL`` — the stub's revocation check;
-* ``ALOAD/ILOAD/DLOAD/const`` runs — the stub's argument pushes;
-* ``ALOAD · GETFIELD`` — field reads (the stub's domain-handle load);
+* ``ALOAD/ILOAD/DLOAD/const`` runs — argument pushes before a call;
 * ``ILOAD · ILOAD · IF_ICMP*`` and ``IINC · GOTO`` — loop heads/tails.
 
 Fusion never spans a *entry point* (branch target or handler start): any
 pc that can be jumped to keeps its own closure, so a fused head simply
-covers the straight-line window after it.  A fused closure that faults
-rewinds ``frame.pc`` to the faulting sub-instruction first, so handler
-lookup is unchanged.
+covers the straight-line window after it.  No fused idiom can fault.
 """
 
 from __future__ import annotations
 
 from .dispatch import DispatchError, VirtualSiteCache
+from .frameless import (
+    DEOPT,
+    function_for,
+    guest_throw as _guest_throw,
+    native_binding as _native_binding,
+    resolve_type as _resolve_type,
+)
 from .interp import (
     ARITHMETIC,
     ARRAY_BOUNDS,
@@ -60,7 +73,6 @@ from .interp import (
     NATIVE_BLOCKED,
     NEGATIVE_SIZE,
     NULL_POINTER,
-    UNSATISFIED_LINK,
 )
 from .instructions import BRANCH_OPCODES as _BRANCH_OPS
 from .threads import BLOCKED, Frame, TERMINATED
@@ -81,13 +93,6 @@ _CMP_BRANCHES = {
 }
 
 _MAX_RUN = 8
-
-
-def _guest_throw(vm, thread, class_name, message, ticks=1):
-    raise GuestUnwind(
-        vm.make_throwable(class_name, message, owner=thread.domain_tag),
-        ticks,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +575,6 @@ def _c_arraylength(vm, next_pc):
     return run
 
 
-def _resolve_type(vm, loader, name):
-    if name.startswith("["):
-        return vm.array_class_for_descriptor(name, loader)
-    return loader.load(name)
-
-
 def _c_checkcast(vm, loader, name, next_pc):
     target = None
     cache_ok = None  # last receiver class that passed this cast
@@ -617,19 +616,13 @@ def _c_instanceof(vm, loader, name, next_pc):
 
 # -- invocation --------------------------------------------------------------
 
-def _native_binding(vm, thread, owner, method):
-    """Resolve a native binding like the generic tier (lazy, cached on the
-    class; unresolved natives throw per call and stay unresolved)."""
-    binding = owner.native_bindings.get(method.key)
-    if binding is None:
-        binding = vm.natives.lookup(owner, method)
-        if binding is None:
-            _guest_throw(
-                vm, thread, UNSATISFIED_LINK,
-                f"{owner.name}.{method.name}{method.desc}",
-            )
-        owner.native_bindings[method.key] = binding
-    return binding
+def _bind(vm, thread, owner, method):
+    """What an invoke site calls: the native binding, the frameless
+    function of a bounded method, or ``None`` (push a Frame)."""
+    if method.is_native:
+        return _native_binding(vm, thread, owner, method)
+    found = function_for(vm, owner, method)
+    return found[0] if found is not None else None
 
 
 def _c_invokestatic(vm, loader, class_name, mname, desc, next_pc):
@@ -642,16 +635,13 @@ def _c_invokestatic(vm, loader, class_name, mname, desc, next_pc):
         entry = resolved
         if entry is None:
             owner, method = loader.load(class_name).find_declared(mname, desc)
-            if method.is_native:
-                binding = _native_binding(vm, thread, owner, method)
-            else:
-                binding = None
-            entry = resolved = (owner, method, binding)
-        owner, method, binding = entry
+            entry = resolved = (owner, method, method.is_native,
+                                _bind(vm, thread, owner, method))
+        owner, method, native, target = entry
         stack = frame.stack
-        if binding is not None:
+        if native:
             args = stack[len(stack) - total:] if total else []
-            result = binding(vm, thread, args)
+            result = target(vm, thread, args)
             if result is NATIVE_BLOCKED:
                 return
             if total:
@@ -666,7 +656,13 @@ def _c_invokestatic(vm, loader, class_name, mname, desc, next_pc):
         else:
             args = []
         frame.pc = next_pc
-        thread.frames.append(Frame(owner, method, args))
+        if target is None:
+            thread.frames.append(Frame(owner, method, args))
+            return
+        result, ticks = target(thread, args)
+        if not void and result is not DEOPT:
+            stack.append(result)
+        return ticks
     return run
 
 
@@ -685,15 +681,12 @@ def _c_invokespecial(vm, loader, class_name, mname, desc, next_pc):
         entry = resolved
         if entry is None:
             owner, method = loader.load(class_name).find_declared(mname, desc)
-            if method.is_native:
-                binding = _native_binding(vm, thread, owner, method)
-            else:
-                binding = None
-            entry = resolved = (owner, method, binding)
-        owner, method, binding = entry
-        if binding is not None:
-            args = stack[len(stack) - total:]
-            result = binding(vm, thread, args)
+            entry = resolved = (owner, method, method.is_native,
+                                _bind(vm, thread, owner, method))
+        owner, method, native, target = entry
+        args = stack[len(stack) - total:]
+        if native:
+            result = target(vm, thread, args)
             if result is NATIVE_BLOCKED:
                 return
             del stack[len(stack) - total:]
@@ -701,10 +694,15 @@ def _c_invokespecial(vm, loader, class_name, mname, desc, next_pc):
                 stack.append(result)
             frame.pc = next_pc
             return
-        args = stack[len(stack) - total:]
         del stack[len(stack) - total:]
         frame.pc = next_pc
-        thread.frames.append(Frame(owner, method, args))
+        if target is None:
+            thread.frames.append(Frame(owner, method, args))
+            return
+        result, ticks = target(thread, args)
+        if not void and result is not DEOPT:
+            stack.append(result)
+        return ticks
     return run
 
 
@@ -714,10 +712,10 @@ def _c_invokevirtual(vm, mname, desc, next_pc):
     key = (mname, desc)
     site = VirtualSiteCache()
     bound_method = None
-    bound_binding = None
+    bound_target = None
 
     def run(thread, frame):
-        nonlocal bound_method, bound_binding
+        nonlocal bound_method, bound_target
         stack = frame.stack
         receiver = stack[-total]
         if receiver is None:
@@ -730,14 +728,14 @@ def _c_invokevirtual(vm, mname, desc, next_pc):
             method = site.method
         else:
             owner, method = site.fill(jclass, key)
+        if method is bound_method:
+            target = bound_target
+        else:
+            target = _bind(vm, thread, owner, method)
+            bound_method, bound_target = method, target
+        args = stack[len(stack) - total:]
         if method.is_native:
-            if method is bound_method:
-                binding = bound_binding
-            else:
-                binding = _native_binding(vm, thread, owner, method)
-                bound_method, bound_binding = method, binding
-            args = stack[len(stack) - total:]
-            result = binding(vm, thread, args)
+            result = target(vm, thread, args)
             if result is NATIVE_BLOCKED:
                 return
             del stack[len(stack) - total:]
@@ -745,10 +743,15 @@ def _c_invokevirtual(vm, mname, desc, next_pc):
                 stack.append(result)
             frame.pc = next_pc
             return
-        args = stack[len(stack) - total:]
         del stack[len(stack) - total:]
         frame.pc = next_pc
-        thread.frames.append(Frame(owner, method, args))
+        if target is None:
+            thread.frames.append(Frame(owner, method, args))
+            return
+        result, ticks = target(thread, args)
+        if not void and result is not DEOPT:
+            stack.append(result)
+        return ticks
     return run
 
 
@@ -758,10 +761,10 @@ def _c_invokeinterface(vm, loader, iface_name, mname, desc, next_pc):
     dispatcher = vm.dispatcher
     iface = None
     bound_method = None
-    bound_binding = None
+    bound_target = None
 
     def run(thread, frame):
-        nonlocal iface, bound_method, bound_binding
+        nonlocal iface, bound_method, bound_target
         stack = frame.stack
         receiver = stack[-total]
         if receiver is None:
@@ -778,14 +781,14 @@ def _c_invokeinterface(vm, loader, iface_name, mname, desc, next_pc):
             )
         except DispatchError as exc:
             _guest_throw(vm, thread, INCOMPATIBLE, str(exc))
+        if method is bound_method:
+            target = bound_target
+        else:
+            target = _bind(vm, thread, owner, method)
+            bound_method, bound_target = method, target
+        args = stack[len(stack) - total:]
         if method.is_native:
-            if method is bound_method:
-                binding = bound_binding
-            else:
-                binding = _native_binding(vm, thread, owner, method)
-                bound_method, bound_binding = method, binding
-            args = stack[len(stack) - total:]
-            result = binding(vm, thread, args)
+            result = target(vm, thread, args)
             if result is NATIVE_BLOCKED:
                 return
             del stack[len(stack) - total:]
@@ -793,10 +796,15 @@ def _c_invokeinterface(vm, loader, iface_name, mname, desc, next_pc):
                 stack.append(result)
             frame.pc = next_pc
             return
-        args = stack[len(stack) - total:]
         del stack[len(stack) - total:]
         frame.pc = next_pc
-        thread.frames.append(Frame(owner, method, args))
+        if target is None:
+            thread.frames.append(Frame(owner, method, args))
+            return
+        result, ticks = target(thread, args)
+        if not void and result is not DEOPT:
+            stack.append(result)
+        return ticks
     return run
 
 
@@ -872,66 +880,8 @@ def _c_monitorexit(vm, next_pc):
 # superinstructions
 #
 # Fused closures return the number of instruction slots they retired so the
-# interpreter's tick accounting matches the generic tier exactly.  A fused
-# closure that faults first rewinds ``frame.pc`` to the faulting
-# sub-instruction, keeping handler lookup and fault attribution identical.
+# interpreter's tick accounting matches the generic tier exactly.
 # ---------------------------------------------------------------------------
-
-def _f_revcheck(vm, slot, field_name, target, pc):
-    """ALOAD · GETFIELD · DUP · IFNONNULL — the stub revocation check."""
-    getfield_pc = pc + 1
-    fall_pc = pc + 4
-    cache_class = None
-    cache_slot = 0
-
-    def run(thread, frame):
-        nonlocal cache_class, cache_slot
-        obj = frame.locals[slot]
-        if obj is None:
-            # the ALOAD sub-instruction completed: 2 ticks, fault at pc+1
-            frame.pc = getfield_pc
-            _guest_throw(vm, thread, NULL_POINTER,
-                         f"getfield {field_name}", ticks=2)
-        jclass = obj.jclass
-        if jclass is not cache_class:
-            cache_slot = jclass.field_slots[field_name]
-            cache_class = jclass
-        value = obj.fields[cache_slot]
-        stack = frame.stack
-        if value is not None:
-            stack.append(value)
-            frame.pc = target
-        else:
-            stack.append(None)
-            frame.pc = fall_pc
-        return 4
-    return run
-
-
-def _f_load_getfield(vm, slot, field_name, pc):
-    """ALOAD · GETFIELD — e.g. the stub's domain-handle load."""
-    getfield_pc = pc + 1
-    next_pc = pc + 2
-    cache_class = None
-    cache_slot = 0
-
-    def run(thread, frame):
-        nonlocal cache_class, cache_slot
-        obj = frame.locals[slot]
-        if obj is None:
-            # the ALOAD sub-instruction completed: 2 ticks, fault at pc+1
-            frame.pc = getfield_pc
-            _guest_throw(vm, thread, NULL_POINTER,
-                         f"getfield {field_name}", ticks=2)
-        jclass = obj.jclass
-        if jclass is not cache_class:
-            cache_slot = jclass.field_slots[field_name]
-            cache_class = jclass
-        frame.stack.append(obj.fields[cache_slot])
-        frame.pc = next_pc
-        return 2
-    return run
-
 
 def _f_cmp_branch(op, slot_a, slot_b, target, pc):
     """ILOAD · ILOAD · IF_ICMP* — loop heads and guards."""
@@ -1118,20 +1068,9 @@ def _clear(entries, start, stop):
     return True
 
 
-def _try_fuse(vm, code, entries, pc, length):
+def _try_fuse(code, entries, pc, length):
     """Return (fused_closure, width) for the longest idiom at ``pc``."""
     op = code[pc][0]
-    # ALOAD · GETFIELD · DUP · IFNONNULL (revocation check)
-    if (op == "aload" and pc + 3 < length
-            and code[pc + 1][0] == "getfield"
-            and code[pc + 2][0] == "dup"
-            and code[pc + 3][0] == "ifnonnull"
-            and _clear(entries, pc + 1, pc + 4)):
-        return (
-            _f_revcheck(vm, code[pc][1], code[pc + 1][2],
-                        code[pc + 3][1], pc),
-            4,
-        )
     # ILOAD · ILOAD · IF_ICMP* (loop head / guard)
     if (op == "iload" and pc + 2 < length
             and code[pc + 1][0] == "iload"
@@ -1142,11 +1081,6 @@ def _try_fuse(vm, code, entries, pc, length):
                           code[pc + 2][1], pc),
             3,
         )
-    # ALOAD · GETFIELD (field read)
-    if (op == "aload" and pc + 1 < length
-            and code[pc + 1][0] == "getfield"
-            and pc + 1 not in entries):
-        return _f_load_getfield(vm, code[pc][1], code[pc + 1][2], pc), 2
     # IINC · GOTO (loop tail)
     if (op == "iinc" and pc + 1 < length
             and code[pc + 1][0] == "goto"
@@ -1185,7 +1119,7 @@ def compile_method(vm, rtclass, method):
     length = len(code)
     pc = 0
     while pc < length:
-        fused = _try_fuse(vm, code, entries, pc, length)
+        fused = _try_fuse(code, entries, pc, length)
         if fused is not None:
             stream[pc], width = fused
             pc += width

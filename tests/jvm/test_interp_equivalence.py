@@ -12,12 +12,18 @@ Two attack angles:
   under both tiers in parallel VMs and must agree;
 * deterministic programs target the fusion edge cases — branches into the
   middle of a would-be superinstruction, fault-pc attribution inside a
-  fused window, polymorphic call/field sites flipping the inline caches.
+  fused window, polymorphic call/field sites flipping the inline caches;
+* the frameless tier (:mod:`repro.jvm.frameless`): fuzzed bounded callees
+  reached through static, virtual and interface sites, and LRMI stubs
+  whose calls fault, block, yield, stop or run out of steps mid-function.
 """
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.jvm import ClassFormatError, MapResolver, VerifyError
+from repro.jkvm import JKernelVM
+from repro.jvm import ClassFormatError, MapResolver, VerifyError, interface
 from repro.jvm.classfile import ClassFile, MethodDef
 from repro.jvm.errors import (
     DeadlockError,
@@ -25,8 +31,8 @@ from repro.jvm.errors import (
     LinkageError,
     OutOfStepsError,
 )
-from tests.jvm.test_verifier_fuzz import _random_method
-from tests.support import assemble, fresh_vm, load_classes
+from tests.jvm.test_verifier_fuzz import _POOL, _random_method
+from tests.support import assemble, fresh_vm, load_classes, spawned_threads
 
 PUBLIC_STATIC = 0x0009
 FUZZ_DESC = "(IIDLjava/lang/Object;)I"
@@ -290,3 +296,646 @@ class TestFusionEdgeCases:
         vm.interpreter.use_threaded = False
         second = vm.call_virtual(holder, "get", "()I")
         assert (first, second) == (11, 11)
+
+
+# ---------------------------------------------------------------------------
+# the frameless tier
+# ---------------------------------------------------------------------------
+
+_SLOT_OPS = frozenset(("iload", "istore", "dload", "dstore", "aload",
+                       "astore", "iinc"))
+_INT_OPS = ("iadd", "isub", "imul", "idiv", "irem", "ishl", "ishr", "iand",
+            "ior", "ixor")
+
+
+def _expr(draw, kind, depth):
+    """Instructions pushing one value of ``kind``: ``I``, ``D``, ``A`` (an
+    Object) or ``[`` (an int array).  Locals 0..3 hold I, I, D, A."""
+    pick = draw(st.integers(0, 7 if depth else 1))
+    sub = depth - 1
+    if kind == "I":
+        if pick == 0:
+            return [("iload", draw(st.sampled_from((0, 1))))]
+        if pick == 1:
+            return [("iconst", draw(st.sampled_from((0, 1, 3, -7, 2**31 - 1))))]
+        if pick <= 3:
+            return (_expr(draw, "I", sub) + _expr(draw, "I", sub)
+                    + [(draw(st.sampled_from(_INT_OPS)),)])
+        if pick == 4:
+            return _expr(draw, "I", sub) + [("ineg",)]
+        if pick == 5:
+            if draw(st.booleans()):
+                return _expr(draw, "D", sub) + [("d2i",)]
+            return (_expr(draw, "D", sub) + _expr(draw, "D", sub)
+                    + [("dcmp",)])
+        if pick == 6:
+            return (_expr(draw, "[", sub) + _expr(draw, "I", sub)
+                    + [("iaload",)])
+        return _expr(draw, "A", sub) + [
+            draw(st.sampled_from((("instanceof", "java/lang/Object"),)))]
+    if kind == "D":
+        if pick == 0:
+            return [("dload", 2)]
+        if pick == 1:
+            return [("dconst", draw(st.sampled_from((0.5, -3.0, 0.0))))]
+        if pick <= 4:
+            return (_expr(draw, "D", sub) + _expr(draw, "D", sub)
+                    + [(draw(st.sampled_from(
+                        ("dadd", "dsub", "dmul", "ddiv"))),)])
+        if pick == 5:
+            return _expr(draw, "D", sub) + [("dneg",)]
+        return _expr(draw, "I", sub) + [("i2d",)]
+    if kind == "A":
+        if pick == 0:
+            return [("aload", 3)]
+        if pick == 1:
+            return [("aconst_null",)]
+        if pick <= 3:
+            return [("new", "java/lang/Object")]
+        return _expr(draw, "A", sub) + [("checkcast", "java/lang/Object")]
+    # small sizes only: a fuzzed size could ask for gigabytes
+    return [("iconst", draw(st.sampled_from((-1, 0, 3)))), ("newarray", "I")]
+
+
+def _statement(draw):
+    """Instructions that leave the stack empty; a branch holds
+    ``("label", k)``: the start of the k-th statement after this one."""
+    pick = draw(st.integers(0, 11))
+    if pick == 0:
+        return _expr(draw, "I", 2) + [("istore", draw(st.integers(0, 1)))]
+    if pick == 1:
+        return _expr(draw, "D", 2) + [("dstore", 2)]
+    if pick == 2:
+        return _expr(draw, "A", 1) + [("astore", 3)]
+    if pick == 3:
+        return [("iinc", draw(st.integers(0, 1)), draw(st.integers(-2, 2)))]
+    if pick == 4:
+        return (_expr(draw, "[", 1) + _expr(draw, "I", 1)
+                + _expr(draw, "I", 1) + [("iastore",)])
+    if pick == 5:
+        return [("invokestatic", "java/lang/Thread", "yield", "()V")]
+    if pick == 6:
+        return _expr(draw, "I", 2) + [("ireturn",)]
+    if pick == 7:
+        return _expr(draw, "I", 2) + [("pop",)]
+    label = ("label", draw(st.integers(1, 4)))
+    if pick == 8:
+        return _expr(draw, "I", 2) + [(draw(st.sampled_from(
+            ("ifeq", "ifne", "iflt", "ifge"))), label)]
+    if pick == 9:
+        return _expr(draw, "A", 1) + [(draw(st.sampled_from(
+            ("ifnull", "ifnonnull"))), label)]
+    if pick == 10:
+        return (_expr(draw, "I", 1) + _expr(draw, "I", 1)
+                + [(draw(st.sampled_from(("if_icmplt", "if_icmpeq"))),
+                    label)])
+    return [("goto", label)]
+
+
+@st.composite
+def _bounded_method(draw):
+    """A type-correct body of forward branches only (so it runs
+    frameless), with faults, deopt points and a yielding native."""
+    statements = [_statement(draw) for _ in range(draw(st.integers(1, 6)))]
+    statements.append(_expr(draw, "I", 2) + [("ireturn",)])
+    starts = []
+    pc = 0
+    for statement in statements:
+        starts.append(pc)
+        pc += len(statement)
+    code = []
+    for index, statement in enumerate(statements):
+        for instr in statement:
+            if isinstance(instr[-1], tuple):  # ("label", k)
+                target = min(index + instr[-1][1], len(statements) - 1)
+                instr = (instr[0], starts[target])
+            code.append(instr)
+    return tuple(code)
+
+
+def _as_instance(code):
+    """The same body as an instance method: every local one slot up."""
+    return tuple(
+        (instr[0], instr[1] + 1, *instr[2:]) if instr[0] in _SLOT_OPS
+        else instr
+        for instr in code
+    )
+
+
+_CALLEE_DESC = "(IIDLjava/lang/Object;)I"
+
+
+def _callee_classfiles(code):
+    """``fz/C`` holds the fuzz body as static ``f`` and instance ``g``
+    (declared by ``fz/I``); ``fz/D.viaX`` call it from a bounded middle
+    method (so it also runs as a leaf) and ``drive`` adds a direct call."""
+    iface = interface("fz/I", [("g", _CALLEE_DESC)])
+    callee = ClassFile(
+        name="fz/C", interfaces=("fz/I",),
+        methods=(
+            MethodDef("<init>", "()V", 0x0001, max_stack=1, max_locals=1,
+                      code=(("aload", 0),
+                            ("invokespecial", "java/lang/Object", "<init>",
+                             "()V"),
+                            ("return",))),
+            MethodDef("f", _CALLEE_DESC, PUBLIC_STATIC,
+                      max_stack=16, max_locals=8, code=code),
+            MethodDef("g", _CALLEE_DESC, 0x0001,
+                      max_stack=16, max_locals=9, code=_as_instance(code)),
+        ),
+    )
+
+    def args(m, first):
+        for op, slot in (("iload", first), ("iload", first + 1),
+                         ("dload", first + 2), ("aload", first + 3)):
+            m.emit(op, slot)
+
+    def build(ca):
+        for name, receiver, site in (
+                ("viaStatic", None, ("invokestatic", "fz/C", "f")),
+                ("viaVirtual", "fz/C", ("invokevirtual", "fz/C", "g")),
+                ("viaIface", "fz/I", ("invokeinterface", "fz/I", "g"))):
+            desc = "(L" + (receiver or "fz/C") + ";IIDLjava/lang/Object;)I"
+            with ca.method(name, desc, PUBLIC_STATIC) as m:
+                if receiver:
+                    m.emit("aload", 0)
+                args(m, 1)
+                m.emit(*site, _CALLEE_DESC)
+                m.emit("ireturn")
+            with ca.method(name + "Drive", desc, PUBLIC_STATIC) as m:
+                m.emit("aload", 0)
+                args(m, 1)
+                m.emit("invokestatic", "fz/D", name, desc)
+                if receiver:
+                    m.emit("aload", 0)
+                args(m, 1)
+                m.emit(*site, _CALLEE_DESC)
+                m.emit("iadd")
+                m.emit("ireturn")
+    return [iface, callee, assemble("fz/D", build)]
+
+
+def _run_callee_case(vm, code):
+    """Run the three driver shapes; returns [(outcome, retired), ...]."""
+    loader = vm.new_loader("fz", resolver=MapResolver(
+        {cf.name: cf for cf in _callee_classfiles(code)}))
+    try:
+        driver = loader.load("fz/D")
+        receiver = vm.construct(loader.load("fz/C"))
+    except (VerifyError, ClassFormatError, LinkageError) as exc:
+        return [("rejected", type(exc).__name__)]
+    obj = vm.heap.new_object(vm.object_class)
+    outcomes = []
+    for name, cls in (("viaStatic", "fz/C"), ("viaVirtual", "fz/C"),
+                      ("viaIface", "fz/I")):
+        desc = f"(L{cls};IIDLjava/lang/Object;)I"
+        before = vm.interpreter.instructions_retired
+        try:
+            result = vm.call_static(driver, name + "Drive", desc,
+                                    [receiver, 5, -3, 2.5, obj],
+                                    max_steps=20_000)
+            outcome = ("ok", result)
+        except JThrowable as exc:
+            outcome = ("guest-exception", exc.jobject.jclass.name)
+        outcomes.append(
+            (outcome, vm.interpreter.instructions_retired - before))
+    return outcomes
+
+
+class TestFramelessEquivalence:
+    @settings(deadline=None)  # the ci profile runs it ten times deeper
+    @given(code=_bounded_method())
+    def test_fuzzed_callee_agrees_through_every_site(self, code):
+        """A fuzzed bounded body reached from a threaded driver (as the
+        outer function) and from a bounded middle method (as a leaf),
+        through static, virtual and interface sites: the same results,
+        guest exceptions and retired ticks as the generic tier."""
+        threaded = _run_callee_case(fresh_vm(), code)
+        generic = _run_callee_case(fresh_vm(threaded_code=False), code)
+        assert threaded == generic
+
+    def test_fuzzed_callee_runs_frameless(self):
+        """The fuzz above exercises the frameless tier, not only frames."""
+        code = (("iload", 0), ("iload", 1), ("iadd",), ("ireturn",))
+        vm = fresh_vm()
+        assert _run_callee_case(vm, code)[0][0] == ("ok", 4)
+        callee = vm.loaders[-1].loaded("fz/C")
+        assert callee.frameless[("f", _CALLEE_DESC)][1] is True
+
+
+def _static_class(name, desc, emit, max_extra=()):
+    def build(ca):
+        with ca.method("f", desc, PUBLIC_STATIC) as m:
+            emit(m)
+        for extra in max_extra:
+            extra(ca)
+    return assemble(name, build)
+
+
+def _both(run):
+    """``run(vm)`` on both tiers; returns the two results."""
+    return [run(vm) for vm in _both_vms()]
+
+
+def _outcome(vm, call):
+    before = vm.interpreter.instructions_retired
+    try:
+        value = ("ok", call())
+    except JThrowable as exc:
+        value = ("guest-exception", exc.jobject.jclass.name)
+    except OutOfStepsError:
+        value = ("out-of-steps",)
+    return value, vm.interpreter.instructions_retired - before
+
+
+class TestFramelessDeopt:
+    def _callee(self, vm, emit, desc="(I)I"):
+        def driver(ca):
+            with ca.method("drive", desc, PUBLIC_STATIC) as m:
+                m.emit("iload", 0)
+                m.emit("invokestatic", "fl/F", "f", desc)
+                m.emit("ireturn")
+        loader = load_classes(vm, [_static_class("fl/F", desc, emit),
+                                   assemble("fl/Drive", driver)])
+        return loader.loaded("fl/Drive")
+
+    def test_native_that_blocks_mid_function(self):
+        def emit(m):
+            m.emit("iconst", 40)
+            m.emit("invokestatic", "java/lang/Thread", "sleep", "(I)V")
+            m.emit("iload", 0)
+            m.emit("ireturn")
+
+        def run(vm):
+            driver = self._callee(vm, emit)
+            with spawned_threads(vm) as threads:
+                outcome = _outcome(vm, lambda: vm.call_static(
+                    driver, "drive", "(I)I", [9]))
+            return outcome, vm.scheduler.tick >= 40, len(threads)
+        assert _both(run) == [((("ok", 9), 8), True, 1)] * 2
+
+    def test_native_that_yields_mid_function(self):
+        """Two threads yield from inside a bounded method: the frameless
+        call deopts at the yield, so they alternate as on the generic
+        tier and leave the same trace."""
+        def emit(m):
+            m.emit("iload", 0)
+            m.emit("invokestatic", "java/lang/System", "printInt", "(I)V")
+            m.emit("invokestatic", "java/lang/Thread", "yield", "()V")
+            m.emit("iload", 0)
+            m.emit("iconst", 100)
+            m.emit("iadd")
+            m.emit("invokestatic", "java/lang/System", "printInt", "(I)V")
+            m.emit("iload", 0)
+            m.emit("ireturn")
+
+        def run(vm):
+            driver = self._callee(vm, emit)
+            printed = []
+            vm.emit_output = lambda tag, text: printed.append(text)
+            method = driver.declared[("drive", "(I)I")]
+            for arg in (1, 2):
+                vm.scheduler.spawn(driver, method, [arg])
+            vm.scheduler.run()
+            return printed
+        assert _both(run) == [["1", "2", "101", "102"]] * 2
+
+    def test_stop_of_the_running_thread_from_a_native(self):
+        """``Thread.stop`` of the current thread from inside a bounded
+        method: the frameless call deopts and the stop is delivered at
+        the next instruction, to the driver's handler."""
+        def emit(m):
+            m.emit("invokestatic", "java/lang/Thread", "currentThread",
+                   "()Ljava/lang/Thread;")
+            m.emit("invokevirtual", "java/lang/Thread", "stop", "()V")
+            m.emit("iload", 0)
+            m.emit("ireturn")
+
+        def run(vm):
+            def driver(ca):
+                with ca.method("drive", "(I)I", PUBLIC_STATIC) as m:
+                    start = m.here()
+                    m.emit("iload", 0)
+                    m.emit("invokestatic", "fl/F", "f", "(I)I")
+                    end = m.here()
+                    m.emit("ireturn")
+                    handler = m.here()
+                    m.emit("pop")
+                    m.emit("iconst", -5)
+                    m.emit("ireturn")
+                    m.handler(start, end, handler, "java/lang/ThreadDeath")
+            loader = load_classes(vm, [_static_class("fl/F", "(I)I", emit),
+                                       assemble("fl/Drive", driver)])
+            caught = _outcome(vm, lambda: vm.call_static(
+                loader.loaded("fl/Drive"), "drive", "(I)I", [3]))
+            uncaught = _outcome(vm, lambda: vm.call_static(
+                loader.loaded("fl/F"), "f", "(I)I", [3]))
+            return caught, uncaught
+        threaded, generic = _both(run)
+        assert threaded == generic
+        assert threaded[0][0] == ("ok", -5)
+        assert threaded[1][0] == ("guest-exception", "java/lang/ThreadDeath")
+
+    def test_out_of_steps_across_a_frameless_call(self):
+        """Whatever the budget, both tiers stop (or finish) alike; the
+        whole call retires 11 ticks."""
+        def emit(m):
+            for _ in range(6):
+                m.emit("iinc", 0, 1)
+            m.emit("iload", 0)
+            m.emit("ireturn")
+
+        for budget in range(1, 14):
+            def run(vm):
+                driver = self._callee(vm, emit)
+                outcome = _outcome(vm, lambda: vm.call_static(
+                    driver, "drive", "(I)I", [1], max_steps=budget))
+                return outcome[0], vm.scheduler.threads
+            threaded, generic = _both(run)
+            assert threaded == generic
+            assert threaded[0] == (("ok", 7) if budget >= 11
+                                   else ("out-of-steps",))
+            assert threaded[1] == []
+
+
+    def test_fault_in_leaf_caught_at_the_invoke(self):
+        """A handler that covers exactly the invoke of a faulting leaf:
+        the frame beneath the leaf's must sit past that invoke."""
+        def classfiles():
+            def build(ca):
+                with ca.method("leaf", "(I)I", PUBLIC_STATIC) as m:
+                    _divide_by_zero_static(m)
+                with ca.method("mid", "(I)I", PUBLIC_STATIC) as m:
+                    m.emit("iload", 0)
+                    start = m.here()
+                    m.emit("invokestatic", "fl/M", "leaf", "(I)I")
+                    end = m.here()
+                    m.emit("ireturn")
+                    handler = m.here()
+                    m.emit("pop")
+                    m.emit("iconst", -9)
+                    m.emit("ireturn")
+                    m.handler(start, end, handler, None)
+                with ca.method("drive", "(I)I", PUBLIC_STATIC) as m:
+                    m.emit("iload", 0)
+                    m.emit("invokestatic", "fl/M", "mid", "(I)I")
+                    m.emit("ireturn")
+            return [assemble("fl/M", build)]
+
+        def run(vm):
+            loader = load_classes(vm, classfiles())
+            return _outcome(vm, lambda: vm.call_static(
+                loader.loaded("fl/M"), "drive", "(I)I", [4]))
+        assert _both(run) == [(("ok", -9), 11)] * 2
+
+    def test_every_branch_at_its_boundaries(self):
+        ops = ("ifeq", "ifne", "iflt", "ifle", "ifgt", "ifge", "if_icmpeq",
+               "if_icmpne", "if_icmplt", "if_icmple", "if_icmpgt",
+               "if_icmpge")
+
+        def classfiles():
+            def build(ca):
+                for op in ops:
+                    with ca.method(op, "(II)I", PUBLIC_STATIC) as m:
+                        taken = m.label()
+                        m.emit("iload", 0)
+                        if op.startswith("if_"):
+                            m.emit("iload", 1)
+                        m.emit(op, taken)
+                        m.emit("iconst", 0)
+                        m.emit("ireturn")
+                        m.mark(taken)
+                        m.emit("iconst", 1)
+                        m.emit("ireturn")
+                    with ca.method(op + "Drive", "(II)I", PUBLIC_STATIC) as m:
+                        m.emit("iload", 0)
+                        m.emit("iload", 1)
+                        m.emit("invokestatic", "fl/B", op, "(II)I")
+                        m.emit("ireturn")
+            return [assemble("fl/B", build)]
+
+        def run(vm):
+            branches = load_classes(vm, classfiles()).loaded("fl/B")
+            return [vm.call_static(branches, op + "Drive", "(II)I", [a, b])
+                    for op in ops for a in (-1, 0, 1) for b in (-1, 0, 1)]
+        threaded, generic = _both(run)
+        assert threaded == generic
+
+    def test_recursion_goes_through_frames(self):
+        """A bounded method that calls itself is no leaf: each level is
+        one frameless call that pushes the next level's frame, so the
+        host stack stays flat however deep the guest recursion."""
+        def emit(m):
+            bottom = m.label()
+            m.emit("iload", 0)
+            m.emit("ifle", bottom)
+            m.emit("iload", 0)
+            m.emit("iconst", 1)
+            m.emit("isub")
+            m.emit("invokestatic", "fl/F", "f", "(I)I")
+            m.emit("iconst", 2)
+            m.emit("iadd")
+            m.emit("ireturn")
+            m.mark(bottom)
+            m.emit("iconst", 0)
+            m.emit("ireturn")
+
+        def run(vm):
+            driver = self._callee(vm, emit)
+            return _outcome(vm, lambda: vm.call_static(
+                driver, "drive", "(I)I", [3000], max_steps=1_000_000))
+        threaded, generic = _both(run)
+        assert threaded == generic
+        assert threaded[0] == ("ok", 6000)
+
+
+def _divide_by_zero_static(m):
+    m.emit("iload", 0)
+    m.emit("iconst", 0)
+    m.emit("idiv")
+    m.emit("ireturn")
+
+
+# -- LRMI stubs running frameless ---------------------------------------------
+
+_IT = "fl/IT"
+
+
+def _lrmi_world(vm, call_body, helpers=()):
+    """A server target ``fl/T.call(I)I`` behind a capability, and a client
+    driver ``fl/Drive.drive(Lfl/IT;I)I`` that calls it (catching any
+    throw as -1)."""
+    kernel = JKernelVM(vm=vm)
+    server = kernel.new_domain("server")
+    client = kernel.new_domain("client")
+
+    def target(ca):
+        with ca.method("call", "(I)I") as m:
+            call_body(m)
+        for helper in helpers:
+            helper(ca)
+
+    server.define([
+        interface(_IT, [("call", "(I)I")], extends=("jk/Remote",)),
+        assemble("fl/T", target, interfaces=(_IT, "jk/Remote")),
+    ])
+    client.share_from(server, _IT)
+
+    def driver(ca):
+        with ca.method("drive", f"(L{_IT};I)I", PUBLIC_STATIC) as m:
+            start = m.here()
+            m.emit("aload", 0)
+            m.emit("iload", 1)
+            m.emit("invokeinterface", _IT, "call", "(I)I")
+            end = m.here()
+            m.emit("ireturn")
+            handler = m.here()
+            m.emit("pop")
+            m.emit("iconst", -1)
+            m.emit("ireturn")
+            m.handler(start, end, handler, None)
+
+    client.define([assemble("fl/Drive", driver)])
+    capability = server.create_capability(
+        vm.construct(server.load("fl/T"), domain_tag=server.tag))
+    return kernel, capability, client
+
+
+def _lrmi(vm, kernel, capability, client, arg, max_steps=10_000):
+    """One LRMI: (outcome, retired), and the calling thread's segment
+    depth and domain tag afterwards."""
+    driver = client.load("fl/Drive")
+    with spawned_threads(vm) as threads:
+        outcome = _outcome(vm, lambda: vm.call_static(
+            driver, "drive", f"(L{_IT};I)I", [capability, arg],
+            domain_tag=client.tag, max_steps=max_steps))
+    thread = threads[0]
+    return outcome, len(thread.segments), thread.domain_tag == client.tag
+
+
+def _add_one(m):
+    m.emit("iload", 1)
+    m.emit("iconst", 1)
+    m.emit("iadd")
+    m.emit("ireturn")
+
+
+def _divide_by_zero(m):
+    m.emit("iload", 1)
+    m.emit("iconst", 0)
+    m.emit("idiv")
+    m.emit("ireturn")
+
+
+def _via_helper(m):
+    m.emit("iload", 1)
+    m.emit("invokestatic", "fl/T", "helper", "(I)I")
+    m.emit("ireturn")
+
+
+def _helper(ca):
+    with ca.method("helper", "(I)I", PUBLIC_STATIC) as m:
+        _add_one_static(m)
+
+
+def _add_one_static(m):
+    m.emit("iload", 0)
+    m.emit("iconst", 1)
+    m.emit("iadd")
+    m.emit("ireturn")
+
+
+class TestFramelessStubs:
+    def _both_lrmi(self, call_body, arg=4, helpers=(), prepare=None,
+                   max_steps=10_000):
+        results = []
+        for vm in _both_vms():
+            kernel, capability, client = _lrmi_world(vm, call_body, helpers)
+            if prepare is not None:
+                prepare(kernel, capability)
+            results.append(_lrmi(vm, kernel, capability, client, arg,
+                                 max_steps))
+            assert vm.scheduler.threads == []
+        if results[0][0][0] == ("out-of-steps",):
+            # a frameless call retires its ticks at once, so the tiers
+            # stop at different counts; both must stop and unwind
+            results = [((outcome[0],), *rest) for outcome, *rest in results]
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_leaf_target_runs_frameless(self):
+        vm = fresh_vm()
+        kernel, capability, client = _lrmi_world(vm, _add_one)
+        assert _lrmi(vm, kernel, capability, client, 4) == (
+            (("ok", 5), 20), 0, True)
+        stub_fn = capability.jclass.frameless[("call", "(I)I")]
+        target_fn = kernel.domains["server"].load("fl/T").frameless[
+            ("call", "(I)I")]
+        assert stub_fn[1] is False and target_fn[1] is True
+        assert self._both_lrmi(_add_one) == ((("ok", 5), 20), 0, True)
+
+    def test_fault_in_leaf_runs_the_stubs_handler(self):
+        """An ArithmeticException in the leaf: the stub's handler runs
+        ``exitSegment`` and rethrows, the driver catches it, and the
+        caller's domain tag is back."""
+        assert self._both_lrmi(_divide_by_zero) == (
+            (("ok", -1), 21), 0, True)
+
+    def test_revoked_stub(self):
+        def revoke(kernel, capability):
+            kernel.domains["server"].revoke_capability(capability)
+        outcome = self._both_lrmi(_add_one, prepare=revoke)
+        assert outcome[0][0] == ("ok", -1)
+        assert outcome[1:] == (0, True)
+
+    def test_enter_segment_on_a_terminated_domain(self):
+        def kill(kernel, capability):
+            kernel.domains["server"].terminated = True
+        outcome = self._both_lrmi(_add_one, prepare=kill)
+        assert outcome[0][0] == ("ok", -1)
+        assert outcome[1:] == (0, True)
+
+    def test_target_that_is_no_leaf(self):
+        """The target calls a helper, so the stub deopts at its
+        ``invokevirtual`` and the target gets a frame."""
+        assert self._both_lrmi(_via_helper, helpers=(_helper,)) == (
+            (("ok", 5), 23), 0, True)
+
+    def test_out_of_steps_inside_the_stub(self):
+        """The budget runs out before, inside or after the stub: both
+        tiers stop (or finish) alike, end the call and unwind its
+        segment.  The whole LRMI retires 20 ticks."""
+        for budget in range(1, 22):
+            outcome = self._both_lrmi(_add_one, max_steps=budget)
+            assert outcome == (
+                ((("ok", 5), 20) if budget >= 20 else (("out-of-steps",),)),
+                0, True)
+
+    def test_crossing_costs_are_counted_alike(self):
+        """Per LRMI both tiers call ``enterSegment``, ``exitSegment`` and
+        the interface dispatcher exactly once: the frameless tier drops
+        interpretation, not Table 1's costs."""
+        counts = []
+        for vm in _both_vms():
+            seen = {"enterSegment": 0, "exitSegment": 0, "lookup": 0}
+            vm.dispatcher.lookup = _counted(seen, "lookup",
+                                            vm.dispatcher.lookup)
+            for body, helpers in ((_add_one, ()), (_via_helper, (_helper,))):
+                kernel, capability, client = _lrmi_world(vm, body, helpers)
+                natives = kernel.jk_loader.load("jk/Kernel").native_bindings
+                for (name, desc), binding in list(natives.items()):
+                    if name in seen:
+                        natives[(name, desc)] = _counted(seen, name, binding)
+                for arg in range(5):
+                    assert _lrmi(vm, kernel, capability, client, arg)[0][0] \
+                        == ("ok", arg + 1)
+            counts.append(seen)
+        assert counts[0] == counts[1] == {
+            "enterSegment": 10, "exitSegment": 10, "lookup": 10}
+
+
+def _counted(seen, name, fn):
+    def counting(*args):
+        seen[name] += 1
+        return fn(*args)
+    return counting
