@@ -7,44 +7,39 @@ bounded method, :func:`function_for` compiles it from the per-opcode
 source templates below into one function ``fn(thread, args) ->
 (result, ticks)``: the operand stack and the locals are Python locals,
 per-site caches are closure cells, and no :class:`Frame` is allocated.
-``ticks`` counts the invoke that made the call plus every instruction
-the function retired, so tick accounting matches the generic tier.
-
-Inside a function, a native invoke calls the native's binding directly,
-and a non-native invoke calls the callee's function directly only when
-the callee is a *leaf*: bounded, with no invoke instruction at all
-(whether an invoke reaches a native is known only once it resolves).
-Nesting therefore stops at two levels and recursion is impossible.
+``ticks`` counts the invoke that made the call and every instruction the
+function retired, as the generic tier would.  Inside a function a native
+invoke calls the native's binding directly; a non-native invoke calls
+the callee's function directly only when the callee is a *leaf*, bounded
+with no invoke at all (whether an invoke reaches a native is known only
+once it resolves), so nesting stops at two levels and recursion is
+impossible.
 
 The deopt contract
 ------------------
-Everything a function has no template for is a deopt point: any other
-opcode (``new``, ``athrow``, monitors, array ops, statics, ``ldc_str``),
-an invoke of a non-leaf, a native that returns ``NATIVE_BLOCKED`` or that
-leaves the thread not ``RUNNABLE``, yielded, suspended or with a
-``pending_stop``, and any :class:`GuestUnwind`.  There the function
-materialises the :class:`Frame` the interpreter would hold — same locals,
-same operand stack, same pc — pushes it on ``thread.frames`` and returns
-``(DEOPT, ticks)``; the threaded tier carries on at that pc.  An invoke
-of a non-leaf is executed first (the callee's frame is pushed above the
-caller's), so the dispatcher is asked once per call on both tiers.  A
-leaf that deopts or faults has pushed its frame already; its caller's
-frame goes beneath it.  On a fault the frame is pushed at the faulting
-pc and the unwind is re-raised carrying the ticks retired so far, so
-handler lookup, fault pc and tick counts are the interpreter's by
-construction (the stack of a faulting frame is cleared by the unwind, so
-only its locals and pc matter).  A function never outlives the
-scheduler step that called it.
+Everything without a template is a deopt point: any other opcode
+(``new``, ``athrow``, monitors, arrays, statics, ``ldc_str``), an invoke
+of a non-leaf, a native that returns ``NATIVE_BLOCKED`` or leaves the
+thread not ``RUNNABLE``, yielded, suspended or with a ``pending_stop``,
+and any :class:`GuestUnwind`.  There the function materialises the
+:class:`Frame` the interpreter would hold — same locals, operand stack
+and pc — pushes it on ``thread.frames`` and returns ``(DEOPT, ticks)``;
+the threaded tier carries on at that pc.  An invoke of a non-leaf is
+executed first (the callee's frame goes on top), so the dispatcher is
+asked once per call on both tiers.  A leaf that deopts or faults has
+pushed its frame already, and its caller's frame goes beneath it.  On a
+fault the frame is pushed at the faulting pc and the unwind re-raised
+with the ticks retired so far, so handler lookup, fault pc and tick
+counts are the interpreter's by construction (the unwind clears a
+faulting frame's stack, so only its locals and pc matter).  A function
+never outlives the scheduler step that called it; that step may
+overshoot its budget by one bounded call, and since the caller's frame
+is still live then, a thread never finishes inside the overshoot.
 
 GC invariant: a collection runs only from the host, between scheduler
 steps, so guest references held in a function's Python locals need no
 rooting.  If a collection could ever run inside a step (from a native,
 say), those references would have to be rooted.
-
-The step budget: a frameless call retires its ticks at once, so a step
-may overshoot its budget by one bounded call, as it may by one
-superinstruction.  The caller's frame is still live when the call ends,
-so a thread never finishes inside the overshoot.
 """
 
 from __future__ import annotations
@@ -336,16 +331,13 @@ def _d2i(value):
     return int(value)
 
 
-_GLOBALS = {
-    "ARITHMETIC": ARITHMETIC, "CLASS_CAST": CLASS_CAST, "DEOPT": DEOPT,
-    "GuestUnwind": GuestUnwind, "NATIVE_BLOCKED": NATIVE_BLOCKED,
-    "NULL_POINTER": NULL_POINTER, "RUNNABLE": RUNNABLE, "i32": i32,
-    "resolve_type": resolve_type, "_d2i": _d2i, "_dcmp": _dcmp,
-    "_ddiv": _ddiv, "_framed": _framed, "_interface_site": _interface_site,
-    "_paused": _paused, "_quotient": _quotient, "_spill": _spill,
-    "_static_site": _static_site, "_throw": _throw, "_unwound": _unwound,
-    "_virtual_site": _virtual_site,
-}
+_GLOBALS = {helper.__name__: helper for helper in (
+    i32, resolve_type, _d2i, _dcmp, _ddiv, _framed, _interface_site,
+    _paused, _quotient, _spill, _static_site, _throw, _unwound,
+    _virtual_site, GuestUnwind)}
+_GLOBALS.update(ARITHMETIC=ARITHMETIC, CLASS_CAST=CLASS_CAST, DEOPT=DEOPT,
+                NATIVE_BLOCKED=NATIVE_BLOCKED, NULL_POINTER=NULL_POINTER,
+                RUNNABLE=RUNNABLE)
 
 
 # -- the compiler --------------------------------------------------------------

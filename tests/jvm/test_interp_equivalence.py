@@ -131,13 +131,13 @@ def _holder2_classfile():
 
 class TestFusionEdgeCases:
     def test_fault_pc_inside_fused_getfield(self):
-        """An NPE from the GETFIELD half of a fused ALOAD·GETFIELD must hit
-        a handler that covers only the GETFIELD pc."""
+        """An NPE from the GETFIELD of an ALOAD·GETFIELD pair must hit a
+        handler that covers only the GETFIELD pc."""
         def classfiles():
             def build(ca):
                 with ca.method("probe", "(Leq/Holder;)I",
                                PUBLIC_STATIC) as m:
-                    m.emit("aload", 0)        # pc 0 (fusion head)
+                    m.emit("aload", 0)        # pc 0
                     start = m.here()
                     m.emit("getfield", "eq/Holder", "value")  # pc 1: faults
                     end = m.here()
@@ -157,8 +157,8 @@ class TestFusionEdgeCases:
                                     "(Leq/Holder;)I", [None])
             retireds.append(vm.interpreter.instructions_retired - before)
             assert result == 7
-        # tick parity across the faulting fused window (ALOAD completed,
-        # GETFIELD faulted): both tiers must retire identical counts
+        # tick parity across the fault (ALOAD completed, GETFIELD
+        # faulted): both tiers must retire identical counts
         assert retireds[0] == retireds[1]
 
     def test_branch_into_middle_of_push_run(self):
@@ -247,7 +247,7 @@ class TestFusionEdgeCases:
         assert retireds[0] == retireds[1]
 
     def test_revocation_idiom_branches_and_falls_through(self):
-        """The fused ALOAD·GETFIELD·DUP·IFNONNULL revocation idiom: both
+        """The stub's ALOAD·GETFIELD·DUP·IFNONNULL revocation idiom: both
         the live (branch) and revoked (fall-through) paths must match the
         generic tier."""
         def classfiles():
