@@ -331,8 +331,7 @@ def _expr(draw, kind, depth):
         if pick == 6:
             return (_expr(draw, "[", sub) + _expr(draw, "I", sub)
                     + [("iaload",)])
-        return _expr(draw, "A", sub) + [
-            draw(st.sampled_from((("instanceof", "java/lang/Object"),)))]
+        return _expr(draw, "A", sub) + [("instanceof", "java/lang/Object")]
     if kind == "D":
         if pick == 0:
             return [("dload", 2)]
@@ -427,8 +426,9 @@ _CALLEE_DESC = "(IIDLjava/lang/Object;)I"
 
 def _callee_classfiles(code):
     """``fz/C`` holds the fuzz body as static ``f`` and instance ``g``
-    (declared by ``fz/I``); ``fz/D.viaX`` call it from a bounded middle
-    method (so it also runs as a leaf) and ``drive`` adds a direct call."""
+    (declared by ``fz/I``).  ``fz/D.viaX`` is a bounded middle method that
+    calls it (so the body also runs as a leaf); ``viaXDrive`` calls
+    ``viaX`` and then the body directly."""
     iface = interface("fz/I", [("g", _CALLEE_DESC)])
     callee = ClassFile(
         name="fz/C", interfaces=("fz/I",),
@@ -489,16 +489,9 @@ def _run_callee_case(vm, code):
     for name, cls in (("viaStatic", "fz/C"), ("viaVirtual", "fz/C"),
                       ("viaIface", "fz/I")):
         desc = f"(L{cls};IIDLjava/lang/Object;)I"
-        before = vm.interpreter.instructions_retired
-        try:
-            result = vm.call_static(driver, name + "Drive", desc,
-                                    [receiver, 5, -3, 2.5, obj],
-                                    max_steps=20_000)
-            outcome = ("ok", result)
-        except JThrowable as exc:
-            outcome = ("guest-exception", exc.jobject.jclass.name)
-        outcomes.append(
-            (outcome, vm.interpreter.instructions_retired - before))
+        outcomes.append(_outcome(vm, lambda: vm.call_static(
+            driver, name + "Drive", desc, [receiver, 5, -3, 2.5, obj],
+            max_steps=20_000)))
     return outcomes
 
 
@@ -523,12 +516,11 @@ class TestFramelessEquivalence:
         assert callee.frameless[("f", _CALLEE_DESC)][1] is True
 
 
-def _static_class(name, desc, emit, max_extra=()):
+def _static_class(name, desc, emit):
+    """A class whose static ``f`` has the body ``emit(m)`` writes."""
     def build(ca):
         with ca.method("f", desc, PUBLIC_STATIC) as m:
             emit(m)
-        for extra in max_extra:
-            extra(ca)
     return assemble(name, build)
 
 
@@ -549,13 +541,15 @@ def _outcome(vm, call):
 
 
 class TestFramelessDeopt:
-    def _callee(self, vm, emit, desc="(I)I"):
+    def _callee(self, vm, emit):
+        """``fl/Drive.drive(I)I`` calling ``fl/F.f(I)I``, whose body
+        ``emit(m)`` writes."""
         def driver(ca):
-            with ca.method("drive", desc, PUBLIC_STATIC) as m:
+            with ca.method("drive", "(I)I", PUBLIC_STATIC) as m:
                 m.emit("iload", 0)
-                m.emit("invokestatic", "fl/F", "f", desc)
+                m.emit("invokestatic", "fl/F", "f", "(I)I")
                 m.emit("ireturn")
-        loader = load_classes(vm, [_static_class("fl/F", desc, emit),
+        loader = load_classes(vm, [_static_class("fl/F", "(I)I", emit),
                                    assemble("fl/Drive", driver)])
         return loader.loaded("fl/Drive")
 
@@ -835,14 +829,10 @@ def _via_helper(m):
 
 def _helper(ca):
     with ca.method("helper", "(I)I", PUBLIC_STATIC) as m:
-        _add_one_static(m)
-
-
-def _add_one_static(m):
-    m.emit("iload", 0)
-    m.emit("iconst", 1)
-    m.emit("iadd")
-    m.emit("ireturn")
+        m.emit("iload", 0)
+        m.emit("iconst", 1)
+        m.emit("iadd")
+        m.emit("ireturn")
 
 
 class TestFramelessStubs:
