@@ -80,34 +80,6 @@ class CachedInterfaceDispatch:
         return itable
 
 
-class VirtualSiteCache:
-    """Monomorphic inline cache for one compiled ``invokevirtual`` site.
-
-    The threaded-code tier (:mod:`repro.jvm.threaded`) allocates one per
-    call site; the first call through the site resolves the receiver
-    class's vtable entry and pins it here, so steady-state dispatch is one
-    identity check.  A different receiver class simply refills the cache —
-    correctness never depends on it being monomorphic.  This is what makes
-    a generated capability stub's ``INVOKEVIRTUAL`` of its target method
-    effectively free after the first LRMI through that stub class.
-    """
-
-    __slots__ = ("klass", "owner", "method")
-
-    def __init__(self):
-        self.klass = None
-        self.owner = None
-        self.method = None
-
-    def fill(self, jclass, key):
-        """Resolve ``key`` against ``jclass`` and cache the entry."""
-        owner, method = jclass.vtable[jclass.vindex[key]]
-        self.klass = jclass
-        self.owner = owner
-        self.method = method
-        return owner, method
-
-
 def make_dispatcher(strategy):
     if strategy == "linear":
         return LinearInterfaceDispatch()

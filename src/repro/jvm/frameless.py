@@ -31,10 +31,18 @@ pushed its frame already, and its caller's frame goes beneath it.  On a
 fault the frame is pushed at the faulting pc and the unwind re-raised
 with the ticks retired so far, so handler lookup, fault pc and tick
 counts are the interpreter's by construction (the unwind clears a
-faulting frame's stack, so only its locals and pc matter).  A function
-never outlives the scheduler step that called it; that step may
-overshoot its budget by one bounded call, and since the caller's frame
-is still live then, a thread never finishes inside the overshoot.
+faulting frame's stack, so only its locals and pc matter).
+
+A function never outlives the scheduler step that called it.  It reads
+that step's budget from ``thread.budget`` and, once it has retired as
+many ticks, deopts at its next invoke instead of making the call.  So a
+step overshoots its budget by at most one more budget, one function's
+straight-line code and one leaf, however often the function calls that
+leaf, and a native runs at most one budget of ticks later than the
+generic tier's step boundary would allow.  (Telling the function the
+ticks left in the step instead would cost an attribute store on every
+closure dispatch, loops included.)  Since the caller's frame is still
+live then, a thread never finishes inside the overshoot.
 
 GC invariant: a collection runs only from the host, between scheduler
 steps, so guest references held in a function's Python locals need no
@@ -177,8 +185,8 @@ _CONDITIONS = {
 
 _RETURNS = frozenset(("return", "ireturn", "areturn", "dreturn"))
 
-#: invoke -> (cache cells, how the site finds its entry ``e``, which is
-#: ``(binding, leaf, owner, method)``).  ``{r}`` is the receiver slot.
+#: invoke -> (cache cells, how the site finds its :func:`callee_entry`
+#: ``e``).  ``{r}`` is the receiver slot.
 _STATIC_SITE = ("e", "if {f}e is None: {f}e = _static_site(vm, thread, "
                      "loader, {P})\ne = {f}e")
 _INVOKES = {
@@ -196,7 +204,7 @@ e = {f}e"""),
 #: The rest of an invoke site, after its entry ``e`` is found.
 _CALL = """\
     if e[0] is not None: r = e[0](vm, thread, {args})
-    elif e[1] is not None: r, tt = e[1](thread, {args})
+    elif e[2]: r, tt = e[1](thread, {args})
     else: return _framed(thread, R, M, {pc}, {L}, {S}, {base}, e), t + 1
 except BaseException as u:
     raise _unwound(u, thread, R, M, {pc}, {L}, {S}, {base}, e, t)
@@ -255,7 +263,7 @@ def _framed(thread, rtclass, method, pc, locals_, stack, base, entry):
     """Execute the invoke at ``pc`` of a callee that is no leaf as the
     interpreter would: spill past the invoke, push the callee's frame."""
     _spill(thread, rtclass, method, pc + 1, locals_, stack[:base], 0)
-    thread.frames.append(Frame(entry[2], entry[3], stack[base:]))
+    thread.frames.append(Frame(entry[3], entry[4], stack[base:]))
     return DEOPT
 
 
@@ -268,23 +276,25 @@ def _paused(thread, rtclass, method, pc, locals_, stack, base, void, result):
     return _spill(thread, rtclass, method, pc + 1, locals_, stack, 0)
 
 
-def _entry(vm, thread, owner, method):
-    """``(binding, leaf, owner, method)`` for one resolved callee."""
+def callee_entry(vm, thread, owner, method):
+    """``(binding, fn, is_leaf, owner, method)`` for one resolved callee:
+    a native's binding, or the function of a bounded method (``None``
+    when the callee runs on a :class:`Frame`)."""
     if method.is_native:
-        return native_binding(vm, thread, owner, method), None, owner, method
-    found = function_for(vm, owner, method)
-    leaf = found[0] if found is not None and found[1] else None
-    return None, leaf, owner, method
+        binding = native_binding(vm, thread, owner, method)
+        return binding, None, False, owner, method
+    found = function_for(vm, owner, method) or (None, False)
+    return None, found[0], found[1], owner, method
 
 
 def _static_site(vm, thread, loader, instr):
     owner, method = loader.load(instr[1]).find_declared(instr[2], instr[3])
-    return _entry(vm, thread, owner, method)
+    return callee_entry(vm, thread, owner, method)
 
 
 def _virtual_site(vm, thread, jclass, instr):
     owner, method = jclass.vtable[jclass.vindex[(instr[2], instr[3])]]
-    return _entry(vm, thread, owner, method)
+    return callee_entry(vm, thread, owner, method)
 
 
 def _interface_site(vm, thread, loader, jclass, instr, cache):
@@ -298,7 +308,7 @@ def _interface_site(vm, thread, loader, jclass, instr, cache):
     except DispatchError as exc:
         guest_throw(vm, thread, INCOMPATIBLE, str(exc))
     if method is not cache[1]:
-        cache[2] = _entry(vm, thread, owner, method)
+        cache[2] = callee_entry(vm, thread, owner, method)
         cache[1] = method
     return cache[2]
 
@@ -392,7 +402,7 @@ def _source(method):
     Blocks follow in pc order, each but the first under ``if pc == L``;
     since every branch goes forward, a block's successors come after it.
     ``t`` counts the ticks retired up to the current block or invoke,
-    ``k`` the instructions since.
+    ``k`` the instructions since, and ``cap`` the step's budget.
     """
     code = method.code
     depth, leaders = _plan(code)
@@ -403,6 +413,7 @@ def _source(method):
     body = []
     indent = "    "
     k = 0
+    invokes = False
 
     def stack(top, bottom=0):
         return "[" + ", ".join(f"s{i}" for i in range(bottom, top)) + "]"
@@ -459,6 +470,9 @@ def _source(method):
             void = instr[3].endswith(")V")
             site_cells, resolve = _INVOKES[op]
             cells += [f"x{pc}{cell}" for cell in site_cells]
+            invokes = True
+            emit(f"if t >= cap: return _spill(thread, R, M, {pc}, "
+                 f"{locals_}, {stack(d)}, 0), t")
             if op != "invokestatic":
                 emit(f"if s{base} is None: raise _throw(vm, thread, R, M, "
                      f"{pc}, {locals_}, {stack(d)}, t + 1, NULL_POINTER, "
@@ -488,6 +502,8 @@ def _source(method):
         head.append("        " + " = ".join(
             f"l{i}" for i in range(nargs, method.max_locals)) + " = None")
     head.append("        t = 1")
+    if invokes:
+        head.append("        cap = thread.budget")
     return "\n".join(
         head + ["    " + line for line in body] + ["    return fn", ""])
 

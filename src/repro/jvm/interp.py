@@ -70,12 +70,16 @@ class Interpreter:
 
         Threaded-code closures return how many instruction slots they
         retired (superinstructions and frameless calls cover several), so
-        tick accounting matches the generic tier; the last closure may
-        overshoot the budget by one superinstruction or one bounded call.
+        tick accounting matches the generic tier.  A frameless call makes
+        no invoke once it has retired ``thread.budget`` (``max_instrs``)
+        ticks, so the last closure overshoots the budget by at most one
+        superinstruction, or ``max_instrs`` plus one bounded method's
+        straight-line code plus one leaf.
         """
         executed = 0
         use_threaded = self.use_threaded
         frames = thread.frames
+        thread.budget = max_instrs
         while executed < max_instrs:
             if thread.state != RUNNABLE or thread.suspended:
                 break

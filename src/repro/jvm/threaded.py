@@ -30,11 +30,15 @@ Points of care:
 Frameless calls
 ---------------
 
-The four invoke closures hand a call to a *bounded* method (one without
-a backward branch) to :mod:`repro.jvm.frameless`, which runs it as one
-generated Python function without allocating a :class:`Frame`.  The
-function returns the result and the ticks it retired, or materialises
-its frame at a deopt point and lets this tier carry on there.  What
+The four invoke closures resolve their callee to a
+:func:`~repro.jvm.frameless.callee_entry`, the same record the frameless
+tier's own invoke sites use, and call it through one helper,
+:func:`_invoke`.  A call to a *bounded* method (one without a backward
+branch) runs as one generated Python function without allocating a
+:class:`Frame`.  The function returns the result and the ticks it
+retired, or materialises its frame at a deopt point (or at an invoke
+once it has retired the step's ``thread.budget``) and lets this tier
+carry on there.  What
 stays here is what can loop: driver loops, and any method the frameless
 tier deopts out of (allocation, throws, monitors, arrays).
 
@@ -54,12 +58,11 @@ covers the straight-line window after it.  No fused idiom can fault.
 
 from __future__ import annotations
 
-from .dispatch import DispatchError, VirtualSiteCache
+from .dispatch import DispatchError
 from .frameless import (
     DEOPT,
-    function_for,
+    callee_entry,
     guest_throw as _guest_throw,
-    native_binding as _native_binding,
     resolve_type as _resolve_type,
 )
 from .interp import (
@@ -616,93 +619,62 @@ def _c_instanceof(vm, loader, name, next_pc):
 
 # -- invocation --------------------------------------------------------------
 
-def _bind(vm, thread, owner, method):
-    """What an invoke site calls: the native binding, the frameless
-    function of a bounded method, or ``None`` (push a Frame)."""
-    if method.is_native:
-        return _native_binding(vm, thread, owner, method)
-    found = function_for(vm, owner, method)
-    return found[0] if found is not None else None
+def _invoke(vm, thread, frame, entry, total, void, next_pc):
+    """Call a resolved :func:`callee_entry` with the top ``total`` stack
+    slots: a native's binding, a bounded method's frameless function, or
+    a pushed :class:`Frame`."""
+    binding, fn, _, owner, method = entry
+    stack = frame.stack
+    args = stack[len(stack) - total:]
+    if binding is not None:
+        result = binding(vm, thread, args)
+        if result is NATIVE_BLOCKED:
+            return
+        del stack[len(stack) - total:]
+        if not void:
+            stack.append(result)
+        frame.pc = next_pc
+        return
+    del stack[len(stack) - total:]
+    frame.pc = next_pc
+    if fn is None:
+        thread.frames.append(Frame(owner, method, args))
+        return
+    result, ticks = fn(thread, args)
+    if not void and result is not DEOPT:
+        stack.append(result)
+    return ticks
 
 
 def _c_invokestatic(vm, loader, class_name, mname, desc, next_pc):
     total = len(parse_method_descriptor(desc)[0])
     void = desc.endswith(")V")
-    resolved = None
+    entry = None
 
     def run(thread, frame):
-        nonlocal resolved
-        entry = resolved
+        nonlocal entry
         if entry is None:
             owner, method = loader.load(class_name).find_declared(mname, desc)
-            entry = resolved = (owner, method, method.is_native,
-                                _bind(vm, thread, owner, method))
-        owner, method, native, target = entry
-        stack = frame.stack
-        if native:
-            args = stack[len(stack) - total:] if total else []
-            result = target(vm, thread, args)
-            if result is NATIVE_BLOCKED:
-                return
-            if total:
-                del stack[len(stack) - total:]
-            if not void:
-                stack.append(result)
-            frame.pc = next_pc
-            return
-        if total:
-            args = stack[len(stack) - total:]
-            del stack[len(stack) - total:]
-        else:
-            args = []
-        frame.pc = next_pc
-        if target is None:
-            thread.frames.append(Frame(owner, method, args))
-            return
-        result, ticks = target(thread, args)
-        if not void and result is not DEOPT:
-            stack.append(result)
-        return ticks
+            entry = callee_entry(vm, thread, owner, method)
+        return _invoke(vm, thread, frame, entry, total, void, next_pc)
     return run
 
 
 def _c_invokespecial(vm, loader, class_name, mname, desc, next_pc):
     total = len(parse_method_descriptor(desc)[0]) + 1
     void = desc.endswith(")V")
-    resolved = None
+    entry = None
 
     def run(thread, frame):
-        nonlocal resolved
-        stack = frame.stack
-        if stack[-total] is None:
+        nonlocal entry
+        if frame.stack[-total] is None:
             _guest_throw(
                 vm, thread, NULL_POINTER, f"invokespecial {mname}"
             )
-        entry = resolved
         if entry is None:
             owner, method = loader.load(class_name).find_declared(mname, desc)
-            entry = resolved = (owner, method, method.is_native,
-                                _bind(vm, thread, owner, method))
-        owner, method, native, target = entry
-        args = stack[len(stack) - total:]
-        if native:
-            result = target(vm, thread, args)
-            if result is NATIVE_BLOCKED:
-                return
-            del stack[len(stack) - total:]
-            if not void:
-                stack.append(result)
-            frame.pc = next_pc
-            return
-        del stack[len(stack) - total:]
-        frame.pc = next_pc
-        if target is None:
-            thread.frames.append(Frame(owner, method, args))
-            return
-        result, ticks = target(thread, args)
-        if not void and result is not DEOPT:
-            stack.append(result)
-        return ticks
+            entry = callee_entry(vm, thread, owner, method)
+        return _invoke(vm, thread, frame, entry, total, void, next_pc)
     return run
 
 
@@ -710,48 +682,21 @@ def _c_invokevirtual(vm, mname, desc, next_pc):
     total = len(parse_method_descriptor(desc)[0]) + 1
     void = desc.endswith(")V")
     key = (mname, desc)
-    site = VirtualSiteCache()
-    bound_method = None
-    bound_target = None
+    klass = entry = None  # monomorphic inline cache
 
     def run(thread, frame):
-        nonlocal bound_method, bound_target
-        stack = frame.stack
-        receiver = stack[-total]
+        nonlocal klass, entry
+        receiver = frame.stack[-total]
         if receiver is None:
             _guest_throw(
                 vm, thread, NULL_POINTER, f"invokevirtual {mname}"
             )
         jclass = receiver.jclass
-        if jclass is site.klass:
-            owner = site.owner
-            method = site.method
-        else:
-            owner, method = site.fill(jclass, key)
-        if method is bound_method:
-            target = bound_target
-        else:
-            target = _bind(vm, thread, owner, method)
-            bound_method, bound_target = method, target
-        args = stack[len(stack) - total:]
-        if method.is_native:
-            result = target(vm, thread, args)
-            if result is NATIVE_BLOCKED:
-                return
-            del stack[len(stack) - total:]
-            if not void:
-                stack.append(result)
-            frame.pc = next_pc
-            return
-        del stack[len(stack) - total:]
-        frame.pc = next_pc
-        if target is None:
-            thread.frames.append(Frame(owner, method, args))
-            return
-        result, ticks = target(thread, args)
-        if not void and result is not DEOPT:
-            stack.append(result)
-        return ticks
+        if jclass is not klass:
+            owner, method = jclass.vtable[jclass.vindex[key]]
+            entry = callee_entry(vm, thread, owner, method)
+            klass = jclass
+        return _invoke(vm, thread, frame, entry, total, void, next_pc)
     return run
 
 
@@ -760,13 +705,11 @@ def _c_invokeinterface(vm, loader, iface_name, mname, desc, next_pc):
     void = desc.endswith(")V")
     dispatcher = vm.dispatcher
     iface = None
-    bound_method = None
-    bound_target = None
+    entry = None
 
     def run(thread, frame):
-        nonlocal iface, bound_method, bound_target
-        stack = frame.stack
-        receiver = stack[-total]
+        nonlocal iface, entry
+        receiver = frame.stack[-total]
         if receiver is None:
             _guest_throw(
                 vm, thread, NULL_POINTER, f"invokeinterface {mname}"
@@ -781,30 +724,9 @@ def _c_invokeinterface(vm, loader, iface_name, mname, desc, next_pc):
             )
         except DispatchError as exc:
             _guest_throw(vm, thread, INCOMPATIBLE, str(exc))
-        if method is bound_method:
-            target = bound_target
-        else:
-            target = _bind(vm, thread, owner, method)
-            bound_method, bound_target = method, target
-        args = stack[len(stack) - total:]
-        if method.is_native:
-            result = target(vm, thread, args)
-            if result is NATIVE_BLOCKED:
-                return
-            del stack[len(stack) - total:]
-            if not void:
-                stack.append(result)
-            frame.pc = next_pc
-            return
-        del stack[len(stack) - total:]
-        frame.pc = next_pc
-        if target is None:
-            thread.frames.append(Frame(owner, method, args))
-            return
-        result, ticks = target(thread, args)
-        if not void and result is not DEOPT:
-            stack.append(result)
-        return ticks
+        if entry is None or method is not entry[4]:
+            entry = callee_entry(vm, thread, owner, method)
+        return _invoke(vm, thread, frame, entry, total, void, next_pc)
     return run
 
 

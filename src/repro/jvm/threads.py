@@ -86,6 +86,7 @@ class ThreadContext:
         "segments",
         "segment_pool",
         "yielded",
+        "budget",
     )
 
     def __init__(self, name, domain_tag="<system>"):
@@ -108,6 +109,8 @@ class ThreadContext:
         self.segments = []  # used by repro.jkvm thread segments
         self.segment_pool = []  # retired _VMSegments kept for reuse
         self.yielded = False
+        # the current scheduler step's budget, which caps frameless calls
+        self.budget = 0
 
     @property
     def alive(self):

@@ -24,13 +24,19 @@ from hypothesis import strategies as st
 
 from repro.jkvm import JKernelVM
 from repro.jvm import ClassFormatError, MapResolver, VerifyError, interface
-from repro.jvm.classfile import ClassFile, MethodDef
+from repro.jvm.classfile import (
+    ClassFile,
+    ExceptionHandler,
+    FieldDef,
+    MethodDef,
+)
 from repro.jvm.errors import (
     DeadlockError,
     JThrowable,
     LinkageError,
     OutOfStepsError,
 )
+from repro.jvm.interp import CLASS_CAST, NULL_POINTER
 from tests.jvm.test_verifier_fuzz import _POOL, _random_method
 from tests.support import assemble, fresh_vm, load_classes, spawned_threads
 
@@ -131,8 +137,11 @@ def _holder2_classfile():
 
 class TestFusionEdgeCases:
     def test_fault_pc_inside_fused_getfield(self):
-        """An NPE from the GETFIELD of an ALOAD·GETFIELD pair must hit a
-        handler that covers only the GETFIELD pc."""
+        """An NPE from a GETFIELD must hit a handler that covers only the
+        GETFIELD pc.  The ALOAD·GETFIELD superinstruction this once
+        probed is gone, so it now covers ``probe`` run on the plain
+        threaded path (called from the host), as a frameless function
+        (called from ``drive``) and as a leaf (called from ``mid``)."""
         def classfiles():
             def build(ca):
                 with ca.method("probe", "(Leq/Holder;)I",
@@ -147,19 +156,26 @@ class TestFusionEdgeCases:
                     m.emit("iconst", 7)
                     m.emit("ireturn")
                     m.handler(start, end, handler, None)
+                for name, callee in (("mid", "probe"), ("drive", "probe"),
+                                     ("driveMid", "mid")):
+                    with ca.method(name, "(Leq/Holder;)I",
+                                   PUBLIC_STATIC) as m:
+                        m.emit("aload", 0)
+                        m.emit("invokestatic", "eq/Probe", callee,
+                               "(Leq/Holder;)I")
+                        m.emit("ireturn")
             return [_holder_classfile(), assemble("eq/Probe", build)]
 
-        retireds = []
-        for vm in _both_vms():
-            loader = load_classes(vm, classfiles())
-            before = vm.interpreter.instructions_retired
-            result = vm.call_static(loader.loaded("eq/Probe"), "probe",
-                                    "(Leq/Holder;)I", [None])
-            retireds.append(vm.interpreter.instructions_retired - before)
-            assert result == 7
+        def run(vm):
+            probe = load_classes(vm, classfiles()).loaded("eq/Probe")
+            return [_outcome(vm, lambda: vm.call_static(
+                probe, name, "(Leq/Holder;)I", [None]))
+                for name in ("probe", "drive", "driveMid")]
         # tick parity across the fault (ALOAD completed, GETFIELD
         # faulted): both tiers must retire identical counts
-        assert retireds[0] == retireds[1]
+        threaded, generic = _both(run)
+        assert threaded == generic
+        assert [outcome for outcome, _ in threaded] == [("ok", 7)] * 3
 
     def test_branch_into_middle_of_push_run(self):
         """A jump target inside a would-be push run must stay executable
@@ -249,7 +265,8 @@ class TestFusionEdgeCases:
     def test_revocation_idiom_branches_and_falls_through(self):
         """The stub's ALOAD·GETFIELD·DUP·IFNONNULL revocation idiom: both
         the live (branch) and revoked (fall-through) paths must match the
-        generic tier."""
+        generic tier, run threaded (``check`` called from the host) and
+        frameless (called from ``drive``)."""
         def classfiles():
             def build(ca):
                 with ca.method("check", "(Leq/Holder2;)I",
@@ -266,6 +283,12 @@ class TestFusionEdgeCases:
                     m.emit("pop")
                     m.emit("iconst", 1)
                     m.emit("ireturn")
+                with ca.method("drive", "(Leq/Holder2;)I",
+                               PUBLIC_STATIC) as m:
+                    m.emit("aload", 0)
+                    m.emit("invokestatic", "eq/Probe", "check",
+                           "(Leq/Holder2;)I")
+                    m.emit("ireturn")
             return [_holder_classfile(), _holder2_classfile(),
                     assemble("eq/Probe", build)]
 
@@ -279,11 +302,11 @@ class TestFusionEdgeCases:
                     holder2.fields[slot] = vm.heap.new_object(
                         vm.object_class
                     )
-                results.append(
-                    vm.call_static(loader.loaded("eq/Probe"), "check",
+                results.append([
+                    vm.call_static(loader.loaded("eq/Probe"), name,
                                    "(Leq/Holder2;)I", [holder2])
-                )
-            assert results == [expected, expected]
+                    for name in ("check", "drive")])
+            assert results == [[expected] * 2] * 2
 
     def test_toggling_tier_on_one_vm(self):
         """``use_threaded`` can be flipped at run time; both tiers of the
@@ -308,10 +331,17 @@ _INT_OPS = ("iadd", "isub", "imul", "idiv", "irem", "ishl", "ishr", "iand",
             "ior", "ixor")
 
 
+_HOLDER = "fz/C"  # the callee class also holds the int field ``v``
+_CASTS = ("java/lang/Object", _HOLDER, "java/lang/Thread")
+
+
 def _expr(draw, kind, depth):
     """Instructions pushing one value of ``kind``: ``I``, ``D``, ``A`` (an
-    Object) or ``[`` (an int array).  Locals 0..3 hold I, I, D, A."""
-    pick = draw(st.integers(0, 7 if depth else 1))
+    Object), ``H`` (a holder of ``v``, or null) or ``[`` (an int array).
+    Locals 0..4 hold I, I, D, A, H."""
+    if kind == "H":
+        return [("aload", 4) if draw(st.integers(0, 3)) else ("aconst_null",)]
+    pick = draw(st.integers(0, 11 if depth else 1))
     sub = depth - 1
     if kind == "I":
         if pick == 0:
@@ -331,7 +361,18 @@ def _expr(draw, kind, depth):
         if pick == 6:
             return (_expr(draw, "[", sub) + _expr(draw, "I", sub)
                     + [("iaload",)])
-        return _expr(draw, "A", sub) + [("instanceof", "java/lang/Object")]
+        if pick == 7:
+            return _expr(draw, "A", sub) + [
+                ("instanceof", draw(st.sampled_from(_CASTS)))]
+        if pick == 8:
+            return _expr(draw, "H", sub) + [("getfield", _HOLDER, "v")]
+        op = (draw(st.sampled_from(_INT_OPS)),)
+        if pick == 9:
+            return _expr(draw, "I", sub) + [("dup",), op]
+        pair = _expr(draw, "I", sub) + _expr(draw, "I", sub)
+        if pick == 10:
+            return pair + [("dup_x1",), op, (draw(st.sampled_from(_INT_OPS)),)]
+        return pair + [("swap",), op]
     if kind == "D":
         if pick == 0:
             return [("dload", 2)]
@@ -346,12 +387,13 @@ def _expr(draw, kind, depth):
         return _expr(draw, "I", sub) + [("i2d",)]
     if kind == "A":
         if pick == 0:
-            return [("aload", 3)]
+            return [("aload", draw(st.sampled_from((3, 4))))]
         if pick == 1:
             return [("aconst_null",)]
         if pick <= 3:
             return [("new", "java/lang/Object")]
-        return _expr(draw, "A", sub) + [("checkcast", "java/lang/Object")]
+        return _expr(draw, "A", sub) + [
+            ("checkcast", draw(st.sampled_from(_CASTS)))]
     # small sizes only: a fuzzed size could ask for gigabytes
     return [("iconst", draw(st.sampled_from((-1, 0, 3)))), ("newarray", "I")]
 
@@ -359,7 +401,7 @@ def _expr(draw, kind, depth):
 def _statement(draw):
     """Instructions that leave the stack empty; a branch holds
     ``("label", k)``: the start of the k-th statement after this one."""
-    pick = draw(st.integers(0, 11))
+    pick = draw(st.integers(0, 13))
     if pick == 0:
         return _expr(draw, "I", 2) + [("istore", draw(st.integers(0, 1)))]
     if pick == 1:
@@ -377,24 +419,32 @@ def _statement(draw):
         return _expr(draw, "I", 2) + [("ireturn",)]
     if pick == 7:
         return _expr(draw, "I", 2) + [("pop",)]
-    label = ("label", draw(st.integers(1, 4)))
     if pick == 8:
+        return (_expr(draw, "H", 0) + _expr(draw, "I", 2)
+                + [("putfield", _HOLDER, "v")])
+    label = ("label", draw(st.integers(1, 4)))
+    if pick == 9:
         return _expr(draw, "I", 2) + [(draw(st.sampled_from(
             ("ifeq", "ifne", "iflt", "ifge"))), label)]
-    if pick == 9:
+    if pick == 10:
         return _expr(draw, "A", 1) + [(draw(st.sampled_from(
             ("ifnull", "ifnonnull"))), label)]
-    if pick == 10:
+    if pick == 11:
         return (_expr(draw, "I", 1) + _expr(draw, "I", 1)
                 + [(draw(st.sampled_from(("if_icmplt", "if_icmpeq"))),
+                    label)])
+    if pick == 12:
+        return (_expr(draw, "A", 1) + _expr(draw, "A", 1)
+                + [(draw(st.sampled_from(("if_acmpeq", "if_acmpne"))),
                     label)])
     return [("goto", label)]
 
 
 @st.composite
 def _bounded_method(draw):
-    """A type-correct body of forward branches only (so it runs
-    frameless), with faults, deopt points and a yielding native."""
+    """``(code, handlers)``: a type-correct body of forward branches only
+    (so it runs frameless), with faults, deopt points and a yielding
+    native, perhaps under a handler that returns 99."""
     statements = [_statement(draw) for _ in range(draw(st.integers(1, 6)))]
     statements.append(_expr(draw, "I", 2) + [("ireturn",)])
     starts = []
@@ -409,7 +459,14 @@ def _bounded_method(draw):
                 target = min(index + instr[-1][1], len(statements) - 1)
                 instr = (instr[0], starts[target])
             code.append(instr)
-    return tuple(code)
+    handlers = ()
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(code) - 1))
+        handlers = (ExceptionHandler(
+            start, draw(st.integers(start + 1, len(code))), len(code),
+            draw(st.sampled_from((None, NULL_POINTER, CLASS_CAST)))),)
+        code += [("pop",), ("iconst", 99), ("ireturn",)]
+    return tuple(code), handlers
 
 
 def _as_instance(code):
@@ -421,41 +478,42 @@ def _as_instance(code):
     )
 
 
-_CALLEE_DESC = "(IIDLjava/lang/Object;)I"
+_CALLEE_DESC = f"(IIDLjava/lang/Object;L{_HOLDER};)I"
 
 
-def _callee_classfiles(code):
+def _callee_classfiles(code, handlers):
     """``fz/C`` holds the fuzz body as static ``f`` and instance ``g``
     (declared by ``fz/I``).  ``fz/D.viaX`` is a bounded middle method that
     calls it (so the body also runs as a leaf); ``viaXDrive`` calls
     ``viaX`` and then the body directly."""
     iface = interface("fz/I", [("g", _CALLEE_DESC)])
     callee = ClassFile(
-        name="fz/C", interfaces=("fz/I",),
+        name=_HOLDER, interfaces=("fz/I",), fields=(FieldDef("v", "I"),),
         methods=(
             MethodDef("<init>", "()V", 0x0001, max_stack=1, max_locals=1,
                       code=(("aload", 0),
                             ("invokespecial", "java/lang/Object", "<init>",
                              "()V"),
                             ("return",))),
-            MethodDef("f", _CALLEE_DESC, PUBLIC_STATIC,
-                      max_stack=16, max_locals=8, code=code),
-            MethodDef("g", _CALLEE_DESC, 0x0001,
-                      max_stack=16, max_locals=9, code=_as_instance(code)),
+            MethodDef("f", _CALLEE_DESC, PUBLIC_STATIC, max_stack=16,
+                      max_locals=8, code=code, handlers=handlers),
+            MethodDef("g", _CALLEE_DESC, 0x0001, max_stack=16, max_locals=9,
+                      code=_as_instance(code), handlers=handlers),
         ),
     )
 
     def args(m, first):
         for op, slot in (("iload", first), ("iload", first + 1),
-                         ("dload", first + 2), ("aload", first + 3)):
+                         ("dload", first + 2), ("aload", first + 3),
+                         ("aload", first + 4)):
             m.emit(op, slot)
 
     def build(ca):
         for name, receiver, site in (
-                ("viaStatic", None, ("invokestatic", "fz/C", "f")),
-                ("viaVirtual", "fz/C", ("invokevirtual", "fz/C", "g")),
+                ("viaStatic", None, ("invokestatic", _HOLDER, "f")),
+                ("viaVirtual", _HOLDER, ("invokevirtual", _HOLDER, "g")),
                 ("viaIface", "fz/I", ("invokeinterface", "fz/I", "g"))):
-            desc = "(L" + (receiver or "fz/C") + ";IIDLjava/lang/Object;)I"
+            desc = "(L" + (receiver or _HOLDER) + ";" + _CALLEE_DESC[1:]
             with ca.method(name, desc, PUBLIC_STATIC) as m:
                 if receiver:
                     m.emit("aload", 0)
@@ -475,44 +533,45 @@ def _callee_classfiles(code):
     return [iface, callee, assemble("fz/D", build)]
 
 
-def _run_callee_case(vm, code):
-    """Run the three driver shapes; returns [(outcome, retired), ...]."""
+def _run_callee_case(vm, body):
+    """Run the three driver shapes; returns [(outcome, retired), ...].
+    The receiver is also the holder, so ``v`` carries over between runs."""
     loader = vm.new_loader("fz", resolver=MapResolver(
-        {cf.name: cf for cf in _callee_classfiles(code)}))
+        {cf.name: cf for cf in _callee_classfiles(*body)}))
     try:
         driver = loader.load("fz/D")
-        receiver = vm.construct(loader.load("fz/C"))
+        receiver = vm.construct(loader.load(_HOLDER))
     except (VerifyError, ClassFormatError, LinkageError) as exc:
         return [("rejected", type(exc).__name__)]
     obj = vm.heap.new_object(vm.object_class)
     outcomes = []
-    for name, cls in (("viaStatic", "fz/C"), ("viaVirtual", "fz/C"),
+    for name, cls in (("viaStatic", _HOLDER), ("viaVirtual", _HOLDER),
                       ("viaIface", "fz/I")):
-        desc = f"(L{cls};IIDLjava/lang/Object;)I"
+        desc = f"(L{cls};" + _CALLEE_DESC[1:]
         outcomes.append(_outcome(vm, lambda: vm.call_static(
-            driver, name + "Drive", desc, [receiver, 5, -3, 2.5, obj],
-            max_steps=20_000)))
+            driver, name + "Drive", desc,
+            [receiver, 5, -3, 2.5, obj, receiver], max_steps=20_000)))
     return outcomes
 
 
 class TestFramelessEquivalence:
     @settings(deadline=None)  # the ci profile runs it ten times deeper
-    @given(code=_bounded_method())
-    def test_fuzzed_callee_agrees_through_every_site(self, code):
+    @given(body=_bounded_method())
+    def test_fuzzed_callee_agrees_through_every_site(self, body):
         """A fuzzed bounded body reached from a threaded driver (as the
         outer function) and from a bounded middle method (as a leaf),
         through static, virtual and interface sites: the same results,
         guest exceptions and retired ticks as the generic tier."""
-        threaded = _run_callee_case(fresh_vm(), code)
-        generic = _run_callee_case(fresh_vm(threaded_code=False), code)
+        threaded = _run_callee_case(fresh_vm(), body)
+        generic = _run_callee_case(fresh_vm(threaded_code=False), body)
         assert threaded == generic
 
     def test_fuzzed_callee_runs_frameless(self):
         """The fuzz above exercises the frameless tier, not only frames."""
         code = (("iload", 0), ("iload", 1), ("iadd",), ("ireturn",))
         vm = fresh_vm()
-        assert _run_callee_case(vm, code)[0][0] == ("ok", 4)
-        callee = vm.loaders[-1].loaded("fz/C")
+        assert _run_callee_case(vm, (code, ()))[0][0] == ("ok", 4)
+        callee = vm.loaders[-1].loaded(_HOLDER)
         assert callee.frameless[("f", _CALLEE_DESC)][1] is True
 
 
@@ -651,6 +710,37 @@ class TestFramelessDeopt:
                                    else ("out-of-steps",))
             assert threaded[1] == []
 
+    def test_budget_stops_a_method_that_calls_a_long_leaf_often(self):
+        """A bounded method calling a long leaf many times makes no call
+        once it has retired its step's budget, so a run out of steps
+        overshoots by a bound set by the code, not by calls × leaf."""
+        calls, width, max_steps = 200, 300, 1_000
+
+        def build(ca):
+            with ca.method("leaf", "(I)I", PUBLIC_STATIC) as m:
+                for _ in range(width):
+                    m.emit("iinc", 0, 1)
+                m.emit("iload", 0)
+                m.emit("ireturn")
+            with ca.method("mid", "(I)I", PUBLIC_STATIC) as m:
+                m.emit("iload", 0)
+                for _ in range(calls):
+                    m.emit("invokestatic", "fl/L", "leaf", "(I)I")
+                m.emit("ireturn")
+            with ca.method("drive", "(I)I", PUBLIC_STATIC) as m:
+                m.emit("iload", 0)
+                m.emit("invokestatic", "fl/L", "mid", "(I)I")
+                m.emit("ireturn")
+
+        def run(vm):
+            loader = load_classes(vm, [assemble("fl/L", build)])
+            return _outcome(vm, lambda: vm.call_static(
+                loader.loaded("fl/L"), "drive", "(I)I", [0],
+                max_steps=max_steps))
+        (threaded, retired), generic = _both(run)
+        assert threaded == generic[0] == ("out-of-steps",)
+        assert generic[1] == max_steps
+        assert retired <= max_steps + (calls + 2) + (width + 2)
 
     def test_fault_in_leaf_caught_at_the_invoke(self):
         """A handler that covers exactly the invoke of a faulting leaf:
