@@ -833,6 +833,35 @@ class TestFramelessDeopt:
         assert threaded[0] == ("ok", 6000)
 
 
+class TestArrayLimit:
+    def test_huge_newarray_is_a_guest_out_of_memory_error(self):
+        """``newarray`` of 2**31 - 1 ints throws the guest an
+        OutOfMemoryError on both tiers, called from the host and from a
+        driver, instead of asking the host for gigabytes."""
+        def emit(m):
+            m.emit("iconst", 2**31 - 1)
+            m.emit("newarray", "I")
+            m.emit("arraylength")
+            m.emit("ireturn")
+
+        def driver(ca):
+            with ca.method("drive", "(I)I", PUBLIC_STATIC) as m:
+                m.emit("iload", 0)
+                m.emit("invokestatic", "fl/F", "f", "(I)I")
+                m.emit("ireturn")
+
+        def run(vm):
+            loader = load_classes(vm, [_static_class("fl/F", "(I)I", emit),
+                                       assemble("fl/Drive", driver)])
+            return [_outcome(vm, lambda: vm.call_static(
+                loader.loaded(cls), name, "(I)I", [0]))
+                for cls, name in (("fl/F", "f"), ("fl/Drive", "drive"))]
+        threaded, generic = _both(run)
+        assert threaded == generic
+        assert [outcome for outcome, _ in threaded] == [
+            ("guest-exception", "java/lang/OutOfMemoryError")] * 2
+
+
 def _divide_by_zero_static(m):
     m.emit("iload", 0)
     m.emit("iconst", 0)
