@@ -50,6 +50,7 @@ EXCEPTION_HIERARCHY = {
     "java/lang/IncompatibleClassChangeError": "java/lang/Error",
     "java/lang/UnsatisfiedLinkError": "java/lang/Error",
     "java/lang/ThreadDeath": "java/lang/Error",
+    "java/lang/OutOfMemoryError": "java/lang/Error",
 }
 
 

@@ -21,6 +21,11 @@ _ELEMENT_BYTES = {"B": 1, "I": 4, "D": 8}
 
 DEFAULT_OWNER = "<system>"
 
+#: The longest array a guest may allocate (``newarray`` above it throws
+#: ``java/lang/OutOfMemoryError``), so one guest instruction cannot ask
+#: the host for gigabytes.
+MAX_ARRAY_LENGTH = 2**24
+
 
 class HeapStats:
     """Mutable allocation counters for one owner tag."""

@@ -15,6 +15,7 @@ the only dynamic checks here are the ones the JVM also makes at run time
 from __future__ import annotations
 
 from .dispatch import DispatchError
+from .heap import MAX_ARRAY_LENGTH
 from .values import OBJECT, i8, i32
 from .threads import BLOCKED, RUNNABLE, TERMINATED, Frame
 
@@ -25,6 +26,7 @@ NULL_POINTER = "java/lang/NullPointerException"
 ARITHMETIC = "java/lang/ArithmeticException"
 ARRAY_BOUNDS = "java/lang/ArrayIndexOutOfBoundsException"
 NEGATIVE_SIZE = "java/lang/NegativeArraySizeException"
+OUT_OF_MEMORY = "java/lang/OutOfMemoryError"
 CLASS_CAST = "java/lang/ClassCastException"
 ARRAY_STORE = "java/lang/ArrayStoreException"
 ILLEGAL_MONITOR = "java/lang/IllegalMonitorStateException"
@@ -36,7 +38,7 @@ class GuestUnwind(Exception):
     """A guest exception in flight inside the interpreter.
 
     ``ticks`` is how many instruction slots the raiser accounts for —
-    normally 1 (the faulting instruction), but a frameless call that
+    normally 1 (the faulting instruction), but a fast-tier function that
     faults (:mod:`repro.jvm.frameless`) reports every instruction it
     retired before the fault too, keeping retired-tick accounting
     identical across dispatch tiers.
@@ -52,34 +54,44 @@ class GuestUnwind(Exception):
 class Interpreter:
     """Drives guest threads through one of two dispatch tiers.
 
-    ``use_threaded`` selects between the specialized per-method
-    closure streams compiled at link time (:mod:`repro.jvm.threaded`,
-    the default) and the generic decoder in :meth:`_execute`.  The two
-    tiers are behaviourally identical; the flag exists for differential
-    testing and for embedders that want the simpler decoder.
+    ``use_threaded`` (the VM's ``threaded_code``) selects the fast tier,
+    the default: each method runs as one Python function generated from
+    the templates of :mod:`repro.jvm.frameless`, compiled the first time
+    the method runs.  Otherwise every instruction goes through the generic
+    decoder in :meth:`_execute`, the oracle the templates are held to.
+    The two tiers are behaviourally identical; the flag exists for
+    differential testing and for embedders that want the simpler decoder.
+    Flip it only between calls: the fast tier resumes a frame only at a
+    block start, and the generic decoder may leave one anywhere.
     """
 
     def __init__(self, vm):
+        # imported here: the fast tier's templates build on this module
+        from .frameless import resume
+
         self.vm = vm
         self.instructions_retired = 0
         self.use_threaded = True
+        self._resume = resume
 
     # -- driving ---------------------------------------------------------
     def step(self, thread, max_instrs):
         """Execute up to ``max_instrs`` instructions of ``thread``.
 
-        Threaded-code closures return how many instruction slots they
-        retired (superinstructions and frameless calls cover several), so
-        tick accounting matches the generic tier.  A frameless call makes
-        no invoke once it has retired ``thread.budget`` (``max_instrs``)
-        ticks, so the last closure overshoots the budget by at most one
-        superinstruction, or ``max_instrs`` plus one bounded method's
-        straight-line code plus one leaf.
+        On the fast tier one iteration resumes the top frame's function,
+        which runs until it returns, spills (at a call it may not make
+        directly, a block, a pause) or has retired what is left of the
+        budget; it reports every tick it retired, so tick accounting
+        matches the generic tier.  It checks the budget at backward
+        branches, invokes and returns, so the step overshoots by at most
+        the straight-line code between two checks plus one bounded callee
+        and one leaf, and the thread never finishes inside the overshoot.
         """
         executed = 0
         use_threaded = self.use_threaded
+        resume = self._resume
+        vm = self.vm
         frames = thread.frames
-        thread.budget = max_instrs
         while executed < max_instrs:
             if thread.state != RUNNABLE or thread.suspended:
                 break
@@ -93,10 +105,10 @@ class Interpreter:
                 thread.state = TERMINATED
                 break
             frame = frames[-1]
-            stream = frame.threaded if use_threaded else None
             try:
-                if stream is not None:
-                    executed += stream[frame.pc](thread, frame) or 1
+                if use_threaded:
+                    executed += resume(vm, thread, frame,
+                                       max_instrs - executed)
                 else:
                     self._execute(thread, frame)
                     executed += 1
@@ -415,6 +427,8 @@ class Interpreter:
             length = stack.pop()
             if length < 0:
                 self.throw(thread, NEGATIVE_SIZE, str(length))
+            if length > MAX_ARRAY_LENGTH:
+                self.throw(thread, OUT_OF_MEMORY, str(length))
             array_class = vm.array_class_for_descriptor(
                 "[" + instr[1], frame.rtclass.loader
             )

@@ -23,7 +23,6 @@ from __future__ import annotations
 from .classfile import ACC_FINAL, ClassFile, check_classfile
 from .errors import ClassNotFoundError, LinkageError
 from .runtime import RuntimeClass, link_class
-from .threaded import compile_class
 
 
 class Resolver:
@@ -191,10 +190,6 @@ class ClassLoader:
 
                     verify_class(self.vm, rtclass)
                 self.vm.natives.bind_class(rtclass)
-                # Specialized dispatch tier: decode every method body once,
-                # now that verification has vouched for it.
-                if self.vm.threaded_code:
-                    compile_class(self.vm, rtclass)
             except Exception:
                 del self.namespace[name]
                 raise

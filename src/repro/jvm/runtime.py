@@ -27,7 +27,12 @@ from .values import (
 
 
 class RuntimeClass:
-    """A linked class, interface, or array class."""
+    """A linked class, interface, or array class.
+
+    ``frameless`` caches, per method, the function the fast tier
+    (:mod:`repro.jvm.frameless`) compiled for it the first time it ran,
+    with whether the method is a leaf and whether it is bounded.
+    """
 
     __slots__ = (
         "name",
@@ -52,7 +57,6 @@ class RuntimeClass:
         "itables",
         "initialized",
         "copy_plan",
-        "code_streams",
         "frameless",
     )
 
@@ -79,8 +83,9 @@ class RuntimeClass:
         self.itables = {}  # interface RuntimeClass -> {(name, desc) -> vtable idx}
         self.initialized = False
         self.copy_plan = None  # cached by repro.jkvm.copying on first crossing
-        self.code_streams = {}  # (name, desc) -> threaded-code stream
-        self.frameless = {}  # (name, desc) -> (fn, is_leaf) or None
+        # (name, desc) -> (fn, is_leaf, is_bounded): each method's
+        # fast-tier function, compiled on its first run (repro.jvm.frameless)
+        self.frameless = {}
 
     def __repr__(self):
         loader_name = getattr(self.loader, "name", "<boot>")

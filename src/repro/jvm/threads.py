@@ -35,19 +35,18 @@ MAX_PRIORITY = 10
 class Frame:
     """One activation record of guest code.
 
-    ``threaded`` is the method's compiled closure stream (the specialized
-    dispatch tier, :mod:`repro.jvm.threaded`) or ``None`` when only the
-    generic decoder is available for this method.
+    On the generic tier a frame holds every activation.  On the fast tier
+    (:mod:`repro.jvm.frameless`) a method's function holds its state in
+    Python locals and writes it into a frame only where it spills, at a
+    resume entry; the interpreter resumes the function from there.
     """
 
-    __slots__ = ("rtclass", "method", "code", "locals", "stack", "pc",
-                 "threaded")
+    __slots__ = ("rtclass", "method", "code", "locals", "stack", "pc")
 
     def __init__(self, rtclass, method, args):
         self.rtclass = rtclass
         self.method = method
         self.code = method.code
-        self.threaded = rtclass.code_streams.get((method.name, method.desc))
         local_slots = list(args)
         pad = method.max_locals - len(local_slots)
         if pad > 0:
@@ -86,7 +85,6 @@ class ThreadContext:
         "segments",
         "segment_pool",
         "yielded",
-        "budget",
     )
 
     def __init__(self, name, domain_tag="<system>"):
@@ -109,8 +107,6 @@ class ThreadContext:
         self.segments = []  # used by repro.jkvm thread segments
         self.segment_pool = []  # retired _VMSegments kept for reuse
         self.yielded = False
-        # the current scheduler step's budget, which caps frameless calls
-        self.budget = 0
 
     @property
     def alive(self):
