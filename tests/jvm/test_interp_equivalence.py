@@ -1,22 +1,26 @@
-"""Generic decoder vs threaded-code tier equivalence.
+"""Generic decoder vs fast tier equivalence.
 
-The specialized dispatch tier (:mod:`repro.jvm.threaded`) must be
-observationally identical to the generic decoder in
+The fast tier (:mod:`repro.jvm.frameless`, every method one generated
+function) must be observationally identical to the generic decoder in
 :mod:`repro.jvm.interp`: same results, same guest exceptions delivered to
-the same handlers, and the same retired-instruction counts (superinstruction
-widths included), so scheduling quanta and step budgets behave the same.
+the same handlers, and the same retired-instruction counts, so scheduling
+quanta and step budgets behave the same.
 
-Two attack angles:
+The attack angles:
 
 * fuzzed method bodies (the ``test_verifier_fuzz`` instruction pool) run
   under both tiers in parallel VMs and must agree;
-* deterministic programs target the fusion edge cases — branches into the
-  middle of a would-be superinstruction, fault-pc attribution inside a
-  fused window, polymorphic call/field sites flipping the inline caches;
-* the frameless tier (:mod:`repro.jvm.frameless`): fuzzed bounded callees
-  reached through static, virtual and interface sites, and LRMI stubs
-  whose calls fault, block, yield, stop or run out of steps mid-function.
+* structured top-level bodies (loops, monitors, arrays, statics, throws
+  and handlers) that the fast tier resumes from their frame;
+* deterministic programs target block entries — branches into the middle
+  of straight-line code, fault-pc attribution, polymorphic call/field
+  sites flipping the inline caches — and loops resumed between quanta;
+* fuzzed bounded callees reached through static, virtual and interface
+  sites, and LRMI stubs whose calls fault, block, yield, stop or run out
+  of steps mid-function.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -85,9 +89,8 @@ class TestFuzzedEquivalence:
         generic_outcome, generic_retired = _run_fuzz_case(generic, code)
         assert threaded_outcome == generic_outcome
         if threaded_outcome[0] in ("ok", "guest-exception"):
-            # Tick parity: superinstructions must report their width,
-            # including the completed sub-instructions of a fused window
-            # that faults midway (GuestUnwind.ticks).
+            # Tick parity: a function reports every instruction it
+            # retired, including those before a fault (GuestUnwind.ticks).
             assert threaded_retired == generic_retired
 
 
@@ -138,10 +141,8 @@ def _holder2_classfile():
 class TestFusionEdgeCases:
     def test_fault_pc_inside_fused_getfield(self):
         """An NPE from a GETFIELD must hit a handler that covers only the
-        GETFIELD pc.  The ALOAD·GETFIELD superinstruction this once
-        probed is gone, so it now covers ``probe`` run on the plain
-        threaded path (called from the host), as a frameless function
-        (called from ``drive``) and as a leaf (called from ``mid``)."""
+        GETFIELD pc: ``probe`` resumed from its frame (called from the
+        host), called directly from ``drive`` and as a leaf of ``mid``."""
         def classfiles():
             def build(ca):
                 with ca.method("probe", "(Leq/Holder;)I",
@@ -171,22 +172,22 @@ class TestFusionEdgeCases:
             return [_outcome(vm, lambda: vm.call_static(
                 probe, name, "(Leq/Holder;)I", [None]))
                 for name in ("probe", "drive", "driveMid")]
-        # tick parity across the fault (ALOAD completed, GETFIELD
+        # tick parity across the fault (ALOAD retired, GETFIELD
         # faulted): both tiers must retire identical counts
         threaded, generic = _both(run)
         assert threaded == generic
         assert [outcome for outcome, _ in threaded] == [("ok", 7)] * 3
 
     def test_branch_into_middle_of_push_run(self):
-        """A jump target inside a would-be push run must stay executable
-        (fusion is suppressed across entry points)."""
+        """A jump target inside a run of pushes starts a block of its
+        own, so both ways into it run the same code."""
         def classfiles():
             def build(ca):
                 with ca.method("probe", "(I)I", PUBLIC_STATIC) as m:
                     mid = m.label("mid")
                     m.emit("iload", 0)     # pc 0
                     m.emit("ifne", mid)    # pc 1
-                    m.emit("iconst", 5)    # pc 2: would fuse with pc 3...
+                    m.emit("iconst", 5)    # pc 2: straight-line code...
                     m.emit("istore", 0)    # pc 3
                     m.mark(mid)
                     m.emit("iconst", 1)    # pc 4: branch target
@@ -233,19 +234,20 @@ class TestFusionEdgeCases:
         assert results == [42, 42, 42, 42]
 
     def test_loop_retires_same_tick_count(self):
-        """IINC·GOTO and ILOAD·ILOAD·IF_ICMPGE fusions must report their
-        widths: a counted loop retires identical totals under both tiers."""
+        """A counted loop, run inside one function and resumed from its
+        frame after every quantum, retires identical totals under both
+        tiers."""
         def classfiles():
             def build(ca):
                 with ca.method("loop", "(I)I", PUBLIC_STATIC) as m:
                     m.emit("iconst", 0)
                     m.emit("istore", 1)
                     loop = m.here()
-                    m.emit("iload", 1)     # fused cmp-branch head
+                    m.emit("iload", 1)     # loop head: a resume entry
                     m.emit("iload", 0)
                     done = m.label("done")
                     m.emit("if_icmpge", done)
-                    m.emit("iinc", 1, 1)   # fused iinc+goto
+                    m.emit("iinc", 1, 1)   # backward branch: budget check
                     m.emit("goto", loop.pc)
                     m.mark(done)
                     m.emit("iload", 1)
@@ -265,8 +267,8 @@ class TestFusionEdgeCases:
     def test_revocation_idiom_branches_and_falls_through(self):
         """The stub's ALOAD·GETFIELD·DUP·IFNONNULL revocation idiom: both
         the live (branch) and revoked (fall-through) paths must match the
-        generic tier, run threaded (``check`` called from the host) and
-        frameless (called from ``drive``)."""
+        generic tier, ``check`` resumed from its frame (called from the
+        host) and called directly (from ``drive``)."""
         def classfiles():
             def build(ca):
                 with ca.method("check", "(Leq/Holder2;)I",
@@ -310,7 +312,8 @@ class TestFusionEdgeCases:
 
     def test_toggling_tier_on_one_vm(self):
         """``use_threaded`` can be flipped at run time; both tiers of the
-        same VM agree (streams are compiled either way)."""
+        same VM agree (the fast tier compiles a method when it first runs
+        it)."""
         vm = fresh_vm()
         loader = load_classes(vm, [_holder_classfile()])
         holder = vm.construct(loader.loaded("eq/Holder"))
@@ -333,6 +336,8 @@ _INT_OPS = ("iadd", "isub", "imul", "idiv", "irem", "ishl", "ishr", "iand",
 
 _HOLDER = "fz/C"  # the callee class also holds the int field ``v``
 _CASTS = ("java/lang/Object", _HOLDER, "java/lang/Thread")
+#: array lengths, one above the VM's limit (an OutOfMemoryError)
+_SIZES = (-1, 0, 3, 2**31 - 1)
 
 
 def _expr(draw, kind, depth):
@@ -394,14 +399,15 @@ def _expr(draw, kind, depth):
             return [("new", "java/lang/Object")]
         return _expr(draw, "A", sub) + [
             ("checkcast", draw(st.sampled_from(_CASTS)))]
-    # small sizes only: a fuzzed size could ask for gigabytes
-    return [("iconst", draw(st.sampled_from((-1, 0, 3)))), ("newarray", "I")]
+    return [("iconst", draw(st.sampled_from(_SIZES))), ("newarray", "I")]
 
 
-def _statement(draw):
-    """Instructions that leave the stack empty; a branch holds
-    ``("label", k)``: the start of the k-th statement after this one."""
-    pick = draw(st.integers(0, 13))
+def _statement(draw, pick=None):
+    """Instructions that leave the stack empty; a branch (``pick`` 9 to
+    13) holds ``("label", k)``: the start of the k-th statement after
+    this one."""
+    if pick is None:
+        pick = draw(st.integers(0, 13))
     if pick == 0:
         return _expr(draw, "I", 2) + [("istore", draw(st.integers(0, 1)))]
     if pick == 1:
@@ -425,14 +431,15 @@ def _statement(draw):
     label = ("label", draw(st.integers(1, 4)))
     if pick == 9:
         return _expr(draw, "I", 2) + [(draw(st.sampled_from(
-            ("ifeq", "ifne", "iflt", "ifge"))), label)]
+            ("ifeq", "ifne", "iflt", "ifle", "ifgt", "ifge"))), label)]
     if pick == 10:
         return _expr(draw, "A", 1) + [(draw(st.sampled_from(
             ("ifnull", "ifnonnull"))), label)]
     if pick == 11:
         return (_expr(draw, "I", 1) + _expr(draw, "I", 1)
-                + [(draw(st.sampled_from(("if_icmplt", "if_icmpeq"))),
-                    label)])
+                + [(draw(st.sampled_from(
+                    ("if_icmpeq", "if_icmpne", "if_icmplt", "if_icmple",
+                     "if_icmpgt", "if_icmpge"))), label)])
     if pick == 12:
         return (_expr(draw, "A", 1) + _expr(draw, "A", 1)
                 + [(draw(st.sampled_from(("if_acmpeq", "if_acmpne"))),
@@ -443,7 +450,7 @@ def _statement(draw):
 @st.composite
 def _bounded_method(draw):
     """``(code, handlers)``: a type-correct body of forward branches only
-    (so it runs frameless), with faults, deopt points and a yielding
+    (so it is called directly), with faults, spill points and a yielding
     native, perhaps under a handler that returns 99."""
     statements = [_statement(draw) for _ in range(draw(st.integers(1, 6)))]
     statements.append(_expr(draw, "I", 2) + [("ireturn",)])
@@ -558,7 +565,7 @@ class TestFramelessEquivalence:
     @settings(deadline=None)  # the ci profile runs it ten times deeper
     @given(body=_bounded_method())
     def test_fuzzed_callee_agrees_through_every_site(self, body):
-        """A fuzzed bounded body reached from a threaded driver (as the
+        """A fuzzed bounded body reached from a resumed driver (as the
         outer function) and from a bounded middle method (as a leaf),
         through static, virtual and interface sites: the same results,
         guest exceptions and retired ticks as the generic tier."""
@@ -573,6 +580,229 @@ class TestFramelessEquivalence:
         assert _run_callee_case(vm, (code, ()))[0][0] == ("ok", 4)
         callee = vm.loaders[-1].loaded(_HOLDER)
         assert callee.frameless[("f", _CALLEE_DESC)][1] is True
+
+
+# -- structured top-level bodies ---------------------------------------------
+
+#: array element kind -> (newarray operand, load, store); an ``S`` array
+#: holds Strings, so storing an Object into it is an ArrayStoreException
+_ARRAYS = {
+    "I": ("I", "iaload", "iastore"), "B": ("B", "baload", "bastore"),
+    "D": ("D", "daload", "dastore"),
+    "A": ("Ljava/lang/Object;", "aaload", "aastore"),
+    "S": ("Ljava/lang/String;", "aaload", "aastore"),
+}
+#: where a loaded element of each kind goes
+_KEEP = {"I": ("istore", 0), "B": ("istore", 1), "D": ("dstore", 2),
+         "A": ("astore", 3), "S": ("astore", 3)}
+_CATCHES = (None, NULL_POINTER, "java/lang/ArithmeticException",
+            "java/lang/ArrayIndexOutOfBoundsException")
+_THROWN = ([("aconst_null",)],
+           [("new", "java/lang/IllegalStateException")],
+           [("aload", 3), ("checkcast", "java/lang/Throwable")])
+
+
+#: calls of ``fz/C``'s helpers: ``a``, ``d`` and ``v`` yield before they
+#: return, so their returns run resumed from a frame too
+_CALLS = (
+    [("aload", 3), ("invokestatic", _HOLDER, "a",
+                    "(Ljava/lang/Object;)Ljava/lang/Object;"), ("astore", 3)],
+    [("dload", 2), ("invokestatic", _HOLDER, "d", "(D)D"), ("dstore", 2)],
+    [("invokestatic", _HOLDER, "v", "()V")],
+    [("aload", 4), ("iload", 0), ("invokevirtual", _HOLDER, "g", "(I)I"),
+     ("istore", 0)],
+    [("aload", 4), ("iload", 1), ("invokeinterface", "fz/I", "g", "(I)I"),
+     ("istore", 1)],
+    [("new", _HOLDER), ("dup",), ("invokespecial", _HOLDER, "<init>", "()V"),
+     ("astore", 4)],
+)
+
+
+def _array(draw):
+    """``(kind, instructions)`` pushing an array of some kind (mostly of
+    length 3), or null."""
+    kind = draw(st.sampled_from(sorted(_ARRAYS)))
+    if not draw(st.integers(0, 5)):
+        return kind, [("aconst_null",)]
+    size = draw(st.sampled_from(_SIZES)) if draw(st.booleans()) else 3
+    return kind, [("iconst", size), ("newarray", _ARRAYS[kind][0])]
+
+
+def _element(draw, kind):
+    if kind in "IB":
+        return _expr(draw, "I", 1)
+    if kind == "D":
+        return _expr(draw, "D", 1)
+    if kind == "S" and draw(st.booleans()):
+        return [("ldc_str", "fz")]
+    return _expr(draw, "A", 1)
+
+
+def _top_statement(draw, depth, loops):
+    """One statement of a top-level body: ``("plain", code)`` (branches
+    labelled as in :func:`_statement`), ``("loop", slot, count, block)``,
+    ``("monitor", block)`` on the Object in slot 3, or ``("try", block,
+    catch_type)``.  Loop counters live in slots 5 and 6, one a level."""
+    pick = draw(st.integers(0, 12 if depth < 2 else 9))
+    if pick == 10 and loops == 2:
+        pick = 11
+    if pick <= 1:
+        return "plain", _statement(draw)
+    if pick == 2:
+        return "plain", _statement(draw, draw(st.integers(9, 12)))
+    if pick == 3:
+        kind, array = _array(draw)
+        return "plain", (array + _expr(draw, "I", 1) + _element(draw, kind)
+                         + [(_ARRAYS[kind][2],)])
+    if pick == 4:
+        kind, array = _array(draw)
+        return "plain", (array + _expr(draw, "I", 1)
+                         + [(_ARRAYS[kind][1],), _KEEP[kind]])
+    if pick == 5:
+        return "plain", _array(draw)[1] + [("arraylength",), ("istore", 1)]
+    if pick == 6:
+        if draw(st.booleans()):
+            return "plain", (_expr(draw, "I", 1)
+                             + [("putstatic", _HOLDER, "s")])
+        return "plain", ([("getstatic", _HOLDER, "s")] + _expr(draw, "I", 1)
+                         + [("iadd",), ("istore", 0)])
+    if pick == 7:
+        return "plain", [("nop",), ("ldc_str", draw(st.sampled_from(
+            ("fz", "")))), ("astore", 3)]
+    if pick == 8:
+        return "plain", draw(st.sampled_from(_THROWN)) + [("athrow",)]
+    if pick == 9:
+        return "plain", draw(st.sampled_from(_CALLS))
+    block = _top_block(draw, depth + 1, loops + (pick == 10))
+    if pick == 10:
+        return "loop", 5 + loops, draw(st.integers(0, 4)), block
+    if pick == 11:
+        return "monitor", block
+    return "try", block, draw(st.sampled_from(_CATCHES))
+
+
+def _top_block(draw, depth, loops):
+    return [_top_statement(draw, depth, loops)
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+def _assemble(block, code, handlers, last):
+    """Append ``block``'s code: a branch labelled k in statement i goes to
+    the start of statement ``min(i + k, last)`` (``len(block)`` is the
+    end of the block).  A loop counts its slot down to 0, a try block's
+    handler keeps the exception in slot 3 and carries on after it."""
+    starts, branches = [], []
+    for index, statement in enumerate(block):
+        starts.append(len(code))
+        kind = statement[0]
+        if kind == "plain":
+            for instr in statement[1]:
+                if isinstance(instr[-1], tuple):  # ("label", k)
+                    branches.append(
+                        (len(code), min(index + instr[-1][1], last)))
+                code.append(instr)
+        elif kind == "loop":
+            _, slot, count, body = statement
+            code += [("iconst", count), ("istore", slot)]
+            head = len(code)
+            code += [("iload", slot), None]
+            _assemble(body, code, handlers, len(body))
+            code += [("iinc", slot, -1), ("goto", head)]
+            code[head + 1] = ("ifle", len(code))
+        elif kind == "monitor":
+            code += [("aload", 3), ("monitorenter",)]
+            _assemble(statement[1], code, handlers, len(statement[1]))
+            code += [("aload", 3), ("monitorexit",)]
+        else:
+            start = len(code)
+            _assemble(statement[1], code, handlers, len(statement[1]))
+            handlers.append(ExceptionHandler(
+                start, len(code), len(code) + 1, statement[2]))
+            code += [("goto", len(code) + 2), ("astore", 3)]
+    starts.append(len(code))
+    for at, target in branches:
+        code[at] = (code[at][0], starts[target])
+
+
+@st.composite
+def _top_method(draw):
+    """``(code, handlers)``: a type-correct body with counted loops (so it
+    is resumed from its frame at backward branches), monitor blocks,
+    every array kind, the class's static ``s``, ``ldc_str``, ``athrow``
+    and handlers inside or around loops, perhaps under a handler that
+    returns 99."""
+    block = _top_block(draw, 0, 0)
+    block.append(("plain", _expr(draw, "I", 2) + [("ireturn",)]))
+    code, handlers = [], []
+    _assemble(block, code, handlers, len(block) - 1)
+    if draw(st.booleans()):
+        handlers.append(ExceptionHandler(
+            0, len(code), len(code), draw(st.sampled_from(_CATCHES))))
+        code += [("pop",), ("iconst", 99), ("ireturn",)]
+    return tuple(code), tuple(handlers)
+
+
+def _run_top_case(vm, body):
+    """Run the body as static ``fz/C.f`` on a fresh thread, the receiver
+    as holder: ``(outcome, retired)``."""
+    code, handlers = body
+
+    def build(ca):
+        yielding = (("invokestatic", "java/lang/Thread", "yield", "()V"),)
+        for name, desc, tail in (
+                ("a", "(Ljava/lang/Object;)Ljava/lang/Object;",
+                 (("aload", 0), ("areturn",))),
+                ("d", "(D)D", (("dload", 0), ("dreturn",))),
+                ("v", "()V", (("return",),))):
+            with ca.method(name, desc, PUBLIC_STATIC) as m:
+                for instr in yielding + tail:
+                    m.emit(*instr)
+        with ca.method("g", "(I)I") as m:
+            m.emit("iload", 1)
+            m.emit("ireturn")
+    holder = assemble(_HOLDER, build, interfaces=("fz/I",),
+                      fields=(("v", "I"), ("s", "I", PUBLIC_STATIC)))
+    holder = dataclasses.replace(holder, methods=holder.methods + (
+        MethodDef("f", _CALLEE_DESC, PUBLIC_STATIC, max_stack=16,
+                  max_locals=7, code=code, handlers=handlers),))
+    classfiles = [interface("fz/I", [("g", "(I)I")]), holder]
+    loader = vm.new_loader("fz", resolver=MapResolver(
+        {cf.name: cf for cf in classfiles}))
+    try:
+        rtclass = loader.load(_HOLDER)
+    except (VerifyError, ClassFormatError, LinkageError) as exc:
+        return ("rejected", type(exc).__name__), None
+    receiver = vm.construct(rtclass)
+    obj = vm.heap.new_object(vm.object_class)
+    return _outcome(vm, lambda: vm.call_static(
+        rtclass, "f", _CALLEE_DESC, [5, -3, 2.5, obj, receiver],
+        max_steps=20_000))
+
+
+class TestTopLevelEquivalence:
+    @settings(deadline=None)  # the ci profile runs it ten times deeper
+    @given(body=_top_method())
+    def test_fuzzed_body_agrees_when_resumed(self, body):
+        """A fuzzed top-level body, which the fast tier resumes from its
+        frame at every quantum and after every fault it handles: the
+        same results, guest exceptions and retired ticks as the generic
+        tier, and every body verifies."""
+        fast = _run_top_case(fresh_vm(), body)
+        generic = _run_top_case(fresh_vm(threaded_code=False), body)
+        assert fast == generic
+        assert fast[0][0] != "rejected"
+
+    def test_every_opcode_has_one_template(self):
+        """Apart from the generic decoder, each opcode's semantics is one
+        entry of the compiler's tables."""
+        from repro.jvm import frameless
+        from repro.jvm.instructions import OPERAND_SHAPES
+
+        tables = (set(frameless._TEMPLATES), set(frameless._CONDITIONS),
+                  set(frameless._RETURNS), {"goto"},
+                  set(frameless._INVOKES))
+        assert set().union(*tables) == set(OPERAND_SHAPES)
+        assert sum(map(len, tables)) == len(OPERAND_SHAPES)
 
 
 def _static_class(name, desc, emit):
@@ -628,9 +858,9 @@ class TestFramelessDeopt:
         assert _both(run) == [((("ok", 9), 8), True, 1)] * 2
 
     def test_native_that_yields_mid_function(self):
-        """Two threads yield from inside a bounded method: the frameless
-        call deopts at the yield, so they alternate as on the generic
-        tier and leave the same trace."""
+        """Two threads yield from inside a bounded method: the direct call
+        spills at the yield, so they alternate as on the generic tier and
+        leave the same trace."""
         def emit(m):
             m.emit("iload", 0)
             m.emit("invokestatic", "java/lang/System", "printInt", "(I)V")
@@ -655,8 +885,8 @@ class TestFramelessDeopt:
 
     def test_stop_of_the_running_thread_from_a_native(self):
         """``Thread.stop`` of the current thread from inside a bounded
-        method: the frameless call deopts and the stop is delivered at
-        the next instruction, to the driver's handler."""
+        method: the direct call spills and the stop is delivered at the
+        next instruction, to the driver's handler."""
         def emit(m):
             m.emit("invokestatic", "java/lang/Thread", "currentThread",
                    "()Ljava/lang/Thread;")
@@ -833,6 +1063,187 @@ class TestFramelessDeopt:
         assert threaded[0] == ("ok", 6000)
 
 
+class TestResumedLoops:
+    """Loops that the fast tier runs inside one function and resumes from
+    their frame between quanta."""
+
+    def test_two_threads_contend_for_a_monitor_in_a_loop(self):
+        """Each thread takes the lock ``n`` times and spins inside it
+        for longer than a quantum, so the other one blocks on its
+        ``monitorenter``; the shared count comes out right on both tiers
+        and both saw contention."""
+        def build(ca):
+            with ca.method("work", "(Ljava/lang/Object;I)I",
+                           PUBLIC_STATIC) as m:
+                top = m.here()
+                done = m.label()
+                m.emit("iload", 1)
+                m.emit("ifle", done)
+                m.emit("aload", 0)
+                m.emit("monitorenter")
+                m.emit("getstatic", "fl/W", "count")
+                m.emit("iconst", 30)
+                m.emit("istore", 2)
+                spin = m.here()
+                m.emit("iinc", 2, -1)
+                m.emit("iload", 2)
+                m.emit("ifgt", spin.pc)
+                m.emit("iconst", 1)
+                m.emit("iadd")
+                m.emit("putstatic", "fl/W", "count")
+                m.emit("aload", 0)
+                m.emit("monitorexit")
+                m.emit("iinc", 1, -1)
+                m.emit("goto", top.pc)
+                m.mark(done)
+                m.emit("getstatic", "fl/W", "count")
+                m.emit("ireturn")
+
+        def run(vm):
+            loader = load_classes(vm, [assemble(
+                "fl/W", build, fields=(("count", "I", PUBLIC_STATIC),))])
+            work = loader.loaded("fl/W")
+            lock = vm.heap.new_object(vm.object_class)
+            blocked = []
+            try_enter = vm.monitors.try_enter
+
+            def counting(target, thread):
+                entered = try_enter(target, thread)
+                blocked.append(not entered)
+                return entered
+            vm.monitors.try_enter = counting
+            threads = [vm.scheduler.spawn(
+                work, work.declared[("work", "(Ljava/lang/Object;I)I")],
+                [lock, 5]) for _ in range(2)]
+            vm.scheduler.run()
+            return sorted(t.result for t in threads), any(blocked)
+        results = _both(run)
+        assert results[0] == results[1]
+        assert results[0][0][1] == 10 and results[0][1]
+
+    def test_contended_monitorenter_retires_one_tick(self):
+        """``hold`` yields with the lock held, so ``take`` blocks on its
+        ``monitorenter`` once; yields are the only switch points, so
+        both tiers run the same schedule and retire the same ticks."""
+        def build(ca):
+            for name, pause, result in (("hold", True, 1),
+                                        ("take", False, 2)):
+                with ca.method(name, "(Ljava/lang/Object;)I",
+                               PUBLIC_STATIC) as m:
+                    m.emit("aload", 0)
+                    m.emit("monitorenter")
+                    if pause:
+                        m.emit("invokestatic", "java/lang/Thread", "yield",
+                               "()V")
+                    m.emit("aload", 0)
+                    m.emit("monitorexit")
+                    m.emit("iconst", result)
+                    m.emit("ireturn")
+
+        def run(vm):
+            lock_class = load_classes(vm, [assemble("fl/Y", build)]).loaded(
+                "fl/Y")
+            lock = vm.heap.new_object(vm.object_class)
+            threads = [vm.scheduler.spawn(
+                lock_class, lock_class.declared[
+                    (name, "(Ljava/lang/Object;)I")], [lock])
+                for name in ("hold", "take")]
+            vm.scheduler.run()
+            return ([t.result for t in threads],
+                    vm.interpreter.instructions_retired)
+        assert _both(run) == [([1, 2], 14)] * 2
+
+    def test_stop_between_quanta_of_a_running_loop(self):
+        """A second thread stops a thread that is looping: the stop is
+        delivered when the loop's frame is next resumed, to the handler
+        around the loop."""
+        def build(ca):
+            with ca.method("spin", "(I)I", PUBLIC_STATIC) as m:
+                m.emit("invokestatic", "java/lang/Thread", "currentThread",
+                       "()Ljava/lang/Thread;")
+                m.emit("putstatic", "fl/S", "victim")
+                start = m.here()
+                top = m.here()
+                done = m.label()
+                m.emit("iload", 0)
+                m.emit("ifle", done)
+                m.emit("iinc", 0, -1)
+                m.emit("goto", top.pc)
+                m.mark(done)
+                end = m.here()
+                m.emit("iconst", 1)
+                m.emit("ireturn")
+                handler = m.here()
+                m.emit("pop")
+                m.emit("iconst", -5)
+                m.emit("ireturn")
+                m.handler(start, end, handler, "java/lang/ThreadDeath")
+            with ca.method("kill", "()V", PUBLIC_STATIC) as m:
+                top = m.here()
+                found = m.label()
+                m.emit("getstatic", "fl/S", "victim")
+                m.emit("ifnonnull", found)
+                m.emit("invokestatic", "java/lang/Thread", "yield", "()V")
+                m.emit("goto", top.pc)
+                m.mark(found)
+                m.emit("getstatic", "fl/S", "victim")
+                m.emit("invokevirtual", "java/lang/Thread", "stop", "()V")
+                m.emit("return")
+
+        def run(vm):
+            loader = load_classes(vm, [assemble(
+                "fl/S", build,
+                fields=(("victim", "Ljava/lang/Thread;", PUBLIC_STATIC),))])
+            spin = loader.loaded("fl/S")
+            victim = vm.scheduler.spawn(
+                spin, spin.declared[("spin", "(I)I")], [100_000])
+            vm.scheduler.spawn(spin, spin.declared[("kill", "()V")], [])
+            vm.scheduler.run()
+            return victim.result, vm.interpreter.instructions_retired < 1000
+        assert _both(run) == [(-5, True)] * 2
+
+    def test_fault_in_a_loop_body_handled_at_the_loop_head(self):
+        """``12 / (n % 3)`` faults on every third trip; the handler's
+        target is the loop head itself, which keeps the exception (or
+        null) in slot 2 and goes round again."""
+        def build(ca):
+            with ca.method("f", "(I)I", PUBLIC_STATIC) as m:
+                m.emit("iconst", 0)
+                m.emit("istore", 1)
+                m.emit("aconst_null")
+                head = m.here()
+                done = m.label()
+                m.emit("astore", 2)
+                m.emit("iload", 0)
+                m.emit("ifle", done)
+                m.emit("iinc", 0, -1)
+                m.emit("iconst", 12)
+                m.emit("iload", 0)
+                m.emit("iconst", 3)
+                m.emit("irem")
+                start = m.here()
+                m.emit("idiv")
+                end = m.here()
+                m.emit("iload", 1)
+                m.emit("iadd")
+                m.emit("istore", 1)
+                m.emit("aconst_null")
+                m.emit("goto", head.pc)
+                m.mark(done)
+                m.emit("iload", 1)
+                m.emit("ireturn")
+                m.handler(start, end, head, "java/lang/ArithmeticException")
+
+        def run(vm):
+            loader = load_classes(vm, [assemble("fl/H", build)])
+            return [_outcome(vm, lambda: vm.call_static(
+                loader.loaded("fl/H"), "f", "(I)I", [n]))
+                for n in (7, 300)]
+        fast, generic = _both(run)
+        assert fast == generic
+        assert [outcome for outcome, _ in fast] == [("ok", 36), ("ok", 1800)]
+
+
 class TestArrayLimit:
     def test_huge_newarray_is_a_guest_out_of_memory_error(self):
         """``newarray`` of 2**31 - 1 ints throws the guest an
@@ -1005,7 +1416,7 @@ class TestFramelessStubs:
         assert outcome[1:] == (0, True)
 
     def test_target_that_is_no_leaf(self):
-        """The target calls a helper, so the stub deopts at its
+        """The target calls a helper, so the stub spills at its
         ``invokevirtual`` and the target gets a frame."""
         assert self._both_lrmi(_via_helper, helpers=(_helper,)) == (
             (("ok", 5), 23), 0, True)
