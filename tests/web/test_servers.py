@@ -460,7 +460,9 @@ class TestReviewHardening:
 
 class TestPerPathInvalidation:
     def test_updating_one_doc_keeps_others_cached(self):
-        server = NativeHttpServer()
+        # One event loop: the response cache is per loop, so with two a
+        # fetch may land on a loop that never served /hot and miss.
+        server = NativeHttpServer(workers=1)
         server.documents.put("/hot", b"hot-1")
         server.documents.put("/cold", b"cold-1")
         server.start()
