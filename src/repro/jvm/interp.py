@@ -80,8 +80,9 @@ class Interpreter:
 
         On the fast tier one iteration resumes the top frame's function,
         which runs until it returns, spills (at a call it may not make
-        directly, a block, a pause) or has retired what is left of the
-        budget; it reports every tick it retired, so tick accounting
+        directly, a contended monitor, a native that pauses the thread)
+        or has retired what is left of the budget; it reports every tick
+        it retired, so tick accounting
         matches the generic tier.  It checks the budget at backward
         branches, invokes and returns, so the step overshoots by at most
         the straight-line code between two checks plus one bounded callee

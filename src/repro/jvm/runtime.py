@@ -83,9 +83,7 @@ class RuntimeClass:
         self.itables = {}  # interface RuntimeClass -> {(name, desc) -> vtable idx}
         self.initialized = False
         self.copy_plan = None  # cached by repro.jkvm.copying on first crossing
-        # (name, desc) -> (fn, is_leaf, is_bounded): each method's
-        # fast-tier function, compiled on its first run (repro.jvm.frameless)
-        self.frameless = {}
+        self.frameless = {}  # (name, desc) -> (fn, is_leaf, is_bounded)
 
     def __repr__(self):
         loader_name = getattr(self.loader, "name", "<boot>")
