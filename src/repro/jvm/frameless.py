@@ -126,8 +126,9 @@ def resolve_type(vm, loader, name):
 # slot a push fills, ``{o}``/``{o2}`` the operands, ``{P}`` the
 # instruction tuple (bound in the function's globals, so the source
 # depends on the shape of the code, not on the names it uses), ``{f}``
-# the prefix of the site's cache cells, ``{fault}`` the spill arguments
-# of a throw here and ``{here}`` those of a spill at this pc.  Lazy
+# the prefix of the site's cache cells, ``{here}`` the arguments of a
+# spill at this pc, ``{tk}`` the ticks retired with this instruction and
+# ``{fault}`` the arguments of a throw here.  Lazy
 # resolution at first execution keeps the generic tier's class-loading
 # order.
 # ---------------------------------------------------------------------------
@@ -234,13 +235,13 @@ if {a} is not None:
 else: {a} = 0"""),
     "athrow": (-1, "", """\
 if {a} is None: raise _throw({fault}, NULL_POINTER, 'athrow null')
-raise _unwind({fault}, {a})"""),
+raise _unwind({here}, {tk}, {a})"""),
     "monitorenter": (-1, "", """\
 if {a} is None: raise _throw({fault}, NULL_POINTER, 'monitorenter')
 if not monitors.try_enter({a}, thread):
     thread.state = BLOCKED
     thread.blocked_on = {a}
-    return _spill({here}), t + 1"""),
+    return _spill({here}), {tk}"""),
     "monitorexit": (-1, "", """\
 if {a} is None: raise _throw({fault}, NULL_POINTER, 'monitorexit')
 woken = monitors.exit({a}, thread)
@@ -318,7 +319,7 @@ def _spill(thread, frame, rtclass, method, pc, locals_, stack, beneath=0):
     return SPILLED
 
 
-def _unwind(vm, thread, frame, rtclass, method, pc, locals_, stack, ticks,
+def _unwind(thread, frame, rtclass, method, pc, locals_, stack, ticks,
             jobject):
     """Throw ``jobject`` at ``pc``: spill there, return the unwind."""
     _spill(thread, frame, rtclass, method, pc, locals_, stack)
@@ -329,7 +330,7 @@ def _throw(vm, thread, frame, rtclass, method, pc, locals_, stack, ticks,
            class_name, message):
     """A new guest exception thrown at ``pc``."""
     return _unwind(
-        vm, thread, frame, rtclass, method, pc, locals_, stack, ticks,
+        thread, frame, rtclass, method, pc, locals_, stack, ticks,
         vm.make_throwable(class_name, message, owner=thread.domain_tag))
 
 
@@ -556,7 +557,8 @@ def _source(method, weak_intern=False):
             "n": f"s{d}", "pc": pc, "P": f"P{pc}", "f": f"x{pc}",
             "o": instr[1] if len(instr) > 1 else None,
             "o2": instr[2] if len(instr) > 2 else None,
-            "fault": f"vm, {at(pc, d)}, t + {k + 1}", "here": at(pc, d),
+            "here": at(pc, d), "tk": f"t + {k + 1}",
+            "fault": f"vm, {at(pc, d)}, t + {k + 1}",
         }
         if op in _TEMPLATES:
             _, site_cells, template = (
