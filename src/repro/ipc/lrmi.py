@@ -23,9 +23,11 @@ Architecture
   kernel control verbs (``revoke``/``terminate``/``stats``/``shutdown``).
   Supervising the host process and hardening the client's pool are the
   transport core's job (``repro.ipc.transport``), shared with ``ntrpc``.
-* Proxies — per-method generated classes (mirroring the in-process stub
-  generator): each method marshals the call and re-raises the callee's
-  exception in the caller's process.  Capabilities inside
+* Proxies — one class per remote-method tuple, each method a closure
+  over its ``(index, name)``: it sends the positional arguments as an
+  ``MF_CALL`` frame and re-raises the callee's exception in the caller's
+  process.  Keyword arguments raise ``TypeError`` before anything is
+  sent, as Java RMI has none.  Capabilities inside
   arguments/results ride the serializer's capability side table: a real
   capability is *exported* (a descriptor crosses, a proxy materializes on
   the other side), and a proxy sent back to its owning side collapses to
@@ -39,39 +41,38 @@ Architecture
   that has not yet processed the broadcast still fails correctly,
   because the host-side stub rejects the call at dispatch.
 
-Wire format (the compiled cross-process wire)
----------------------------------------------
+Wire format
+-----------
 
 Every frame is ``opcode(1) + call_id(4) + payload``; the payload's first
-byte names its marshal format:
+byte names its marshal format.  A call has exactly one request format,
+addressed by method index; a reply or control verb carries one value:
 
-* ``MF_INLINE``   — one serializer stream, no capabilities crossed.
+* ``MF_CALL``     — an ``OP_CALL``: ``export_id(4) + method_index(1)``
+  then the positional-args stream, and — only when the caller's chain
+  is restricted — one more value, the compressed access-control
+  context (``policy.exported_wire_context``).  The host dispatches
+  through a method table *bound at export time* (the PR-2
+  compile-at-registration strategy): no method name crosses, and an
+  unrestricted frame carries nothing but the ids and the arguments.
+* ``MF_CALL_TABLED`` — the same call with capability arguments: call
+  header, then descriptors, then the args stream (and the context).
+* ``MF_INLINE``   — a reply or control value, no capabilities crossed.
 * ``MF_TABLED``   — ``dumps(descriptors)`` then the value stream; the
   reader resolves the descriptors into the capability side table before
-  reading the value.  Descriptors are the PR-5 shapes unchanged:
-  ``("back", export_id)`` and ``("export", export_id, label, methods)``.
-* ``MF_CALL``     — the compiled fast path: ``export_id(4) +
-  method_index(1)`` then the positional-args stream.  Emitted by
-  generated proxy methods for keyword-free calls and by the streamed
-  page call (with the granted fd alongside); the host dispatches
-  through a method table *bound at export time* (the PR-2
-  compile-at-registration strategy), so no method-name string crosses
-  and no ``(export_id, method, args, kwargs)`` envelope is built.
-* ``MF_CALL_TABLED`` — the compiled call with capability arguments:
-  call header, then descriptors, then the args stream.
+  reading the value.  Descriptors are ``("back", export_id)`` and
+  ``("export", export_id, label, methods)``; a peer's method tuple is
+  checked before any proxy class is built from it.
 * ``MF_SHM``      — a bulk grant: ``(generation, offset, length)``
   naming bytes in the per-connection shared-memory ring
   (``repro.ipc.shm``); the granted bytes are themselves a payload in
   one of the formats above.  Payloads at or over :data:`SHM_THRESHOLD`
   ride the ring; the socket frame stays tiny.
 
-The old nested ``dumps((payload, descriptors))`` envelope — a full
-second serializer pass over the already-serialized payload bytes — is
-gone on every path.  Outbound frames are composed into one reusable
-per-connection buffer (``ObjectWriter.dumps_into``) and leave through
-scatter-gather ``sendmsg``; inbound frames are sliced zero-copy out of a
-buffered receive.  Flipping :data:`COMPILED_WIRE` forces every call
-through the generic tagged path — the differential matrix runs over both.
+Outbound frames are composed into one reusable per-connection buffer
+(``ObjectWriter.dumps_into``) and leave through scatter-gather
+``sendmsg``; inbound frames are sliced zero-copy out of a buffered
+receive.
 
 A dead host surfaces as :class:`DomainUnavailableException` (a
 ``RemoteException`` subclass the web layer maps to a retryable 503),
@@ -195,12 +196,7 @@ SHM_THRESHOLD = SEAL_THRESHOLD
 #: created on the first over-threshold payload).
 RING_SIZE = 1 << 20
 
-#: Gate for the compiled MF_CALL fast path.  Patched to False before a
-#: host forks, every call goes through the generic tagged envelope: the
-#: fallback keyword/restricted/idempotent calls always take,
-#: and the reference the differential suite runs its whole matrix
-#: against.
-COMPILED_WIRE = True
+_MAX_METHODS = 256  # a method index is one byte
 
 #: How often the host sweeps its export table for revoked capabilities.
 SWEEP_INTERVAL = 0.02
@@ -285,13 +281,15 @@ def _host_binding(capability, name):
     other domain references — so routing the dispatch through the
     in-process stub would deep-copy every payload a SECOND time.  This
     binding keeps the stub's crossing semantics exactly (termination
-    check, revocation check, call accounting, segment switch) but
-    invokes the target directly on the already-private arguments.
-    Exceptions propagate raw: marshaling the reply is the copy, and
-    unserializable ones degrade to RemoteException at the reply layer.
+    check, revocation check, guard check in the caller's context, call
+    accounting, segment switch) but invokes the target directly on the
+    already-private arguments.  Exceptions propagate raw: marshaling the
+    reply is the copy, and unserializable ones degrade to
+    RemoteException at the reply layer.
     """
     _enter = _segments._enter
     _exit = _segments._exit
+    guard = capability._jk_guard  # fixed when the capability was created
 
     def invoke(*args):
         domain = capability._domain
@@ -300,6 +298,8 @@ def _host_binding(capability, name):
         target = capability._target
         if target is None:
             _raise_revoked(capability)
+        if guard is not None:
+            _policy.check_permission(guard)
         domain._lrmi_calls_in += 1
         stack, segment = _enter(domain)
         try:
@@ -318,7 +318,6 @@ class ExportTable:
         self._by_id = {}
         self._by_identity = {}
         self._dispatch = {}
-        self._names = {}
         self._next = itertools.count(1).__next__
 
     def export(self, capability):
@@ -331,9 +330,8 @@ class ExportTable:
         methods are the in-process stub's generated methods, which check
         revocation/termination on every call, so binding early never
         bypasses a later revoke (and a swept export disappears from this
-        table entirely).  Beside it goes the export's name set: the
-        generic path dispatches a method named in the frame only when
-        the name is in it.
+        table entirely).  The index is the only way a peer names a
+        method: ``revoke``, a dunder or any unexported name has no slot.
         """
         with self._lock:
             found = self._by_identity.get(id(capability))
@@ -353,38 +351,16 @@ class ExportTable:
                         getattr(capability, name, None) for name in names
                     )
             except Exception:
-                names, bound = (), ()
+                bound = ()
             self._dispatch[export_id] = bound
-            self._names[export_id] = frozenset(names)
             return export_id
 
     def get(self, export_id):
         return self._by_id.get(export_id)
 
-    def named(self, export_id, method):
-        """The live export's capability when ``method`` is one of its
-        exported names; raises when the export is gone, and
-        :class:`ProtocolError` for any other name (``revoke``, a dunder,
-        an unknown one) — authority over the capability itself stays
-        with its creator."""
-        capability = self._by_id.get(export_id)
-        if capability is None:
-            raise RevokedException(
-                f"export #{export_id} is gone (revoked or swept)"
-            )
-        if type(method) is not str or method not in self._names.get(
-                export_id, ()):
-            raise ProtocolError(
-                f"export #{export_id} exports no method {method!r}"
-            )
-        return capability
-
-    def entry(self, export_id):
-        """``(capability, bound_methods)`` for a live export, else None."""
-        capability = self._by_id.get(export_id)
-        if capability is None:
-            return None
-        return capability, self._dispatch.get(export_id, ())
+    def methods(self, export_id):
+        """A live export's index-addressed bound methods, else None."""
+        return self._dispatch.get(export_id)
 
     def sweep(self):
         """Drop exports whose capability has been revoked; returns the
@@ -396,7 +372,6 @@ class ExportTable:
                     del self._by_id[export_id]
                     self._by_identity.pop(id(capability), None)
                     self._dispatch.pop(export_id, None)
-                    self._names.pop(export_id, None)
                     dropped.append(export_id)
         return dropped
 
@@ -438,13 +413,6 @@ class RemoteCapability:
         except DomainUnavailableException:
             pass  # a dead host has revoked everything de facto
 
-    def _invoke(self, method, args, kwargs):
-        if self._revoked:
-            raise RevokedException(
-                f"{self._label}: capability revoked (remote)"
-            )
-        return self._peer.call(self._export_id, method, args, kwargs)
-
     def __repr__(self):
         state = "revoked" if self._revoked else "live"
         return f"<RemoteCapability {self._label} #{self._export_id} ({state})>"
@@ -452,52 +420,58 @@ class RemoteCapability:
 
 _proxy_classes = {}
 
-# Compiled per-method proxy body: keyword-free calls skip the
-# (export_id, method, args, kwargs) envelope and go out as one flat
-# MF_CALL frame addressed by method index.  Keyword calls, revoked
-# proxies and policy-restricted callers fall back to the generic path
-# (which raises RevokedException locally for revoked proxies, and
-# carries the compressed access-control context in the envelope for
-# restricted callers — the constant MF_CALL frame has no room for it).
-_FAST_PROXY_TEMPLATE = """\
-def {name}(self, *args, **kwargs):
-    if kwargs or self._revoked or _policy_restricted():
-        return self._invoke({name!r}, args, kwargs)
-    return self._peer.call_fast(self._export_id, {index}, {name!r}, args)
-"""
+# Names a peer's method tuple may not use: the proxy's own members, whose
+# local meaning (``revoke`` asks the owning kernel; ``revoked`` and
+# ``label`` read local state) a remote method would replace.
+_PROXY_MEMBERS = frozenset(
+    name for name in dir(RemoteCapability) if not name.startswith("_")
+)
 
-_PROXY_GLOBALS = {"_policy_restricted": _policy.restricted}
+
+def _check_methods(methods):
+    """Reject a method tuple no proxy may be built from: a name that is
+    no plain identifier, is private, shadows a proxy member or repeats,
+    or more names than a one-byte index can address."""
+    if type(methods) is not tuple or len(methods) > _MAX_METHODS:
+        raise ProtocolError(f"export descriptor needs <= {_MAX_METHODS} names")
+    for name in methods:
+        if (type(name) is not str or not name.isidentifier()
+                or _keyword.iskeyword(name) or name.startswith("_")
+                or name in _PROXY_MEMBERS):
+            raise ProtocolError(f"export descriptor names method {name!r}")
+    if len(set(methods)) != len(methods):
+        raise ProtocolError("export descriptor repeats a method name")
+
+
+def _proxy_method(index, name):
+    """One proxy method: a positional call sent as an MF_CALL frame
+    addressed by ``index``; ``name`` serves the retry rule and errors."""
+    def method(self, *args, **kwargs):
+        if kwargs:
+            raise TypeError(f"remote {name}() takes no keyword arguments")
+        if self._revoked:
+            raise RevokedException(f"{self._label}: capability revoked")
+        return self._peer.call_fast(self._export_id, index, name, args)
+
+    method.__name__ = method.__qualname__ = name
+    return method
 
 
 def _proxy_class(methods):
-    """Generated proxy class for one remote-method tuple (cached)."""
-    key = tuple(methods)
-    found = _proxy_classes.get(key)
+    """Proxy class for one remote-method tuple (checked, then cached)."""
+    _check_methods(methods)
+    found = _proxy_classes.get(methods)
     if found is not None:
         return found
-
-    body = {}
-    for index, name in enumerate(key):
-        if (index < 256 and name.isidentifier()
-                and not _keyword.iskeyword(name)
-                and not name.startswith("_")):
-            namespace = {}
-            exec(_FAST_PROXY_TEMPLATE.format(name=name, index=index),
-                 _PROXY_GLOBALS, namespace)
-            body[name] = namespace[name]
-        else:
-            # Exotic name or beyond the 1-byte index space: generic path.
-            def method(self, *args, _jk_name=name, **kwargs):
-                return self._invoke(_jk_name, args, kwargs)
-            method.__name__ = name
-            body[name] = method
+    body = {name: _proxy_method(index, name)
+            for index, name in enumerate(methods)}
     cls = type("RemoteCapabilityProxy", (RemoteCapability,), body)
     # Proxies cross in-process domain boundaries by reference (they ARE
     # the capability, as far as this process is concerned) and ride the
     # serializer's capability side table like real stubs.
     _convention.register_reference_type(cls)
     register_capref_type(cls)
-    _proxy_classes[key] = cls
+    _proxy_classes[methods] = cls
     return cls
 
 
@@ -515,17 +489,6 @@ def _proxy_class(methods):
 # state, and the serving loop revokes per-call views when the call
 # returns (see _serve_call).
 
-def _call_envelope(export_id, method, args, kwargs):
-    """The generic call envelope, with the caller's compressed
-    access-control context appended as a fifth element when (and only
-    when) something on the chain is restricted — unrestricted callers
-    keep the 4-tuple, byte-identical to the pre-policy wire."""
-    context = _policy.exported_wire_context()
-    if context is None:
-        return (export_id, method, args, kwargs)
-    return (export_id, method, args, kwargs, context)
-
-
 def _describe(peer, capability):
     if type(capability) is SealedRegion:
         return capability.grant_descriptor()
@@ -535,9 +498,15 @@ def _describe(peer, capability):
                 "cannot forward a remote capability to a third process"
             )
         return ("back", capability._export_id)
+    methods = exported_methods(capability)
+    if len(methods) > _MAX_METHODS:
+        raise NotSerializableError(
+            f"{len(methods)} remote methods: a method index addresses at "
+            f"most {_MAX_METHODS}"
+        )
     export_id = peer.exports.export(capability)
     label = getattr(capability, "label", None) or type(capability).__name__
-    return ("export", export_id, str(label), exported_methods(capability))
+    return ("export", export_id, str(label), methods)
 
 
 def _resolve(peer, descriptor):
@@ -549,7 +518,7 @@ def _resolve(peer, descriptor):
                 f"export #{descriptor[1]} is gone (revoked or swept)"
             )
         return capability
-    if kind == "export":
+    if kind == "export" and len(descriptor) == 4:
         _, export_id, label, methods = descriptor
         return peer.proxy_for(export_id, label, methods)
     if kind == "region":
@@ -569,17 +538,43 @@ def marshal(peer, value):
     return bytes((MF_TABLED,)) + dumps(descriptors) + stream
 
 
-def _read_tabled(peer, view):
+def _read_tabled(peer, view, call=False):
     """Parse ``dumps(descriptors) ++ value stream`` from one buffer."""
     reader = ObjectReader(view)
     descriptors = reader.read()
     reader.capability_table = [
         _resolve(peer, descriptor) for descriptor in descriptors
     ]
-    value = reader.read()
-    if reader._offset != len(reader._data):
-        raise ProtocolError("trailing bytes after tabled value")
-    return value
+    return _finish(reader, reader.read(), call)
+
+
+def _finish(reader, value, call):
+    """End a parse at the end of the stream.  A value payload holds
+    exactly one value; a call's may hold one more after its arguments,
+    the caller's access-control context, and then ``(args, context)``
+    is returned."""
+    if reader._offset == len(reader._data):
+        return (value, None) if call else value
+    if call:
+        context = reader.read()
+        if reader._offset == len(reader._data):
+            return value, _checked_context(context)
+    raise ProtocolError("trailing bytes after value")
+
+
+def _checked_context(context):
+    """A trailing context as ``policy.imported_context`` takes it: a
+    non-empty tuple of permission sets, each a tuple of ``(kind,
+    target)`` string pairs."""
+    if type(context) is tuple and context and all(
+            type(pairs) is tuple and all(
+                type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str
+                and pair[0] and ":" not in pair[0]
+                for pair in pairs)
+            for pairs in context):
+        return context
+    raise ProtocolError("malformed caller context after the arguments")
 
 
 def unmarshal(peer, data):
@@ -634,11 +629,12 @@ class _Peer:
         return cache.close()
 
     def proxy_for(self, export_id, label, methods):
+        cls = _proxy_class(methods)  # checks the tuple, even on a hit
         with self._proxy_lock:
             proxy = self._proxies.get(export_id)
             if proxy is None:
-                proxy = _proxy_class(methods)(self, export_id, label, methods)
-                self._proxies[export_id] = proxy
+                proxy = self._proxies[export_id] = cls(
+                    self, export_id, label, methods)
             return proxy
 
     def mark_revoked(self, export_ids):
@@ -649,13 +645,8 @@ class _Peer:
                     proxy._revoked = True
 
     # Overridden by the concrete peers.
-    def call(self, export_id, method, args, kwargs):
-        raise NotImplementedError
-
     def call_fast(self, export_id, method_index, method, args):
-        # Peers without a compiled transport route through the generic
-        # path; DomainClient/_ConnectionPeer override with MF_CALL.
-        return self.call(export_id, method, args, {})
+        raise NotImplementedError
 
     def control(self, verb, *args):
         raise NotImplementedError
@@ -739,7 +730,7 @@ class _Connection:
         del self._table[:]
         return frame
 
-    def _send_value(self, opcode, call_id, value, fds=()):
+    def _send_value(self, opcode, call_id, value):
         """Compose and send one frame carrying a marshalled value."""
         frame = self._frame_buffer()
         frame += _VALUE_PREFIX.pack(opcode, call_id, MF_INLINE)
@@ -751,16 +742,19 @@ class _Connection:
             descriptors = dumps(
                 tuple(_describe(self.peer, capability) for capability in table)
             )
-            if opcode != OP_CALL:
-                # Reply direction: pin granted regions until the next
-                # reply on this connection (see __init__).
-                held = [c for c in table if type(c) is SealedRegion]
-                self._held_regions = held or None
-        self._send_built(frame, 6, descriptors, fds)
+            # Pin granted regions until the next reply on this
+            # connection (see __init__).
+            held = [c for c in table if type(c) is SealedRegion]
+            self._held_regions = held or None
+        self._send_built(frame, 6, descriptors)
 
     def _send_call(self, call_id, export_id, method_index, args, fds=()):
-        """Compose and send one compiled MF_CALL frame."""
-        if not args and not fds:
+        """Compose and send one MF_CALL frame.  A restricted caller's
+        compressed access-control context follows the arguments as one
+        more value; an unrestricted caller's frame ends with them."""
+        context = (_policy.exported_wire_context() if _policy.restricted()
+                   else None)
+        if not args and not fds and context is None:
             # A no-arg call is constant but for the ids: one pack, no
             # frame buffer, no serializer.
             frame = _NULL_CALL_FRAME.pack(16, OP_CALL, call_id, MF_CALL,
@@ -773,6 +767,8 @@ class _Connection:
         frame += _CALL_PREFIX.pack(OP_CALL, call_id, MF_CALL,
                                    export_id, method_index)
         self._writer.write(args)
+        if context is not None:
+            self._writer.write(context)
         table = self._table
         descriptors = None
         if table:
@@ -957,7 +953,7 @@ class _Connection:
 
     _EMPTY_VIEW = memoryview(b"")
 
-    def _parse(self, fmt, payload, offset=1):
+    def _parse(self, fmt, payload, offset=1, call=False):
         if fmt in (MF_INLINE, MF_CALL):
             reader = self._reader
             reader._data = memoryview(payload)[offset:]
@@ -967,13 +963,10 @@ class _Connection:
             if reader.capability_table:
                 del reader.capability_table[:]
             try:
-                value = reader.read()
-                if reader._offset != len(reader._data):
-                    raise NotSerializableError("trailing bytes after value")
+                return _finish(reader, reader.read(), call)
             finally:
                 reader._data = self._EMPTY_VIEW
-            return value
-        return _read_tabled(self.peer, payload[offset:])
+        return _read_tabled(self.peer, payload[offset:], call)
 
     def _read_value(self, payload):
         # Constant-shaped replies skip the reader entirely: a None
@@ -1017,8 +1010,8 @@ class _Connection:
             self.close()
 
     # -- caller side -------------------------------------------------------
-    def call(self, opcode, request, deadline=None):
-        """One synchronous round trip; serves nested work while waiting.
+    def control(self, verb, args, deadline=None):
+        """One control-verb round trip; serves nested work while waiting.
 
         ``deadline`` (a ``time.monotonic`` instant) bounds the WHOLE
         round trip, not just each socket operation: a host that drips
@@ -1027,27 +1020,23 @@ class _Connection:
         """
         call_id = self._call_ids()
         return self._round(
-            lambda: self._send_value(opcode, call_id, request),
+            lambda: self._send_value(OP_CONTROL, call_id, (verb, args)),
             call_id, deadline,
         )
 
     def call_fast(self, export_id, method_index, args, deadline=None):
-        """One compiled round trip (MF_CALL frame, index dispatch)."""
+        """One call round trip: an MF_CALL frame, index dispatch."""
         call_id = self._call_ids()
         return self._round(
             lambda: self._send_call(call_id, export_id, method_index, args),
             call_id, deadline,
         )
 
-    def call_streamed(self, export_id, method_index, method, args, fd,
+    def call_streamed(self, export_id, method_index, args, fd,
                       deadline=None, on_sent=None):
         """A call that grants ``fd`` to the callee via SCM_RIGHTS (reply
         streaming: the host writes the HTTP response to it directly).
-
-        The frame follows the compiled proxies' rule: an MF_CALL frame
-        addressed by ``method_index``, unless the wire is switched to
-        generic or the caller's chain is restricted — then the envelope,
-        which carries the compressed access-control context.
+        The frame is the proxies' MF_CALL, with the fd alongside.
 
         ``on_sent`` fires only after the call frame went out whole.  The
         host dispatches (and can write the granted fd) only on a
@@ -1057,16 +1046,9 @@ class _Connection:
         the caller may safely fall back to a marshalled reply.
         """
         call_id = self._call_ids()
-        fds = (fd,)
-        request = None
-        if not COMPILED_WIRE or _policy.restricted():
-            request = _call_envelope(export_id, method, args, {})
 
         def send():
-            if request is None:
-                self._send_call(call_id, export_id, method_index, args, fds)
-            else:
-                self._send_value(OP_CALL, call_id, request, fds)
+            self._send_call(call_id, export_id, method_index, args, (fd,))
             if on_sent is not None:
                 on_sent()
 
@@ -1181,50 +1163,35 @@ class _Connection:
         else:
             fmt, payload, ring_view = self._open(payload)
         try:
-            if fmt in (MF_CALL, MF_CALL_TABLED):
-                compiled = True
-                export_id, method_index = _CALL_HDR.unpack_from(payload, 1)
-                if payload[1 + _CALL_HDR.size:] == _EMPTY_ARGS_STREAM:
-                    args = ()  # the constant no-arg frame, no reader needed
-                else:
-                    args = self._parse(fmt, payload,
-                                       offset=1 + _CALL_HDR.size)
-            elif fmt in (MF_INLINE, MF_TABLED):
-                compiled = False
-                envelope = self._parse(fmt, payload)
-                if len(envelope) == 5:
-                    export_id, method, args, kwargs, wire_context = envelope
-                else:
-                    export_id, method, args, kwargs = envelope
-                    wire_context = None
+            if fmt != MF_CALL and fmt != MF_CALL_TABLED:
+                raise ProtocolError(f"unexpected call format {fmt}")
+            export_id, method_index = _CALL_HDR.unpack_from(payload, 1)
+            if payload[1 + _CALL_HDR.size:] == _EMPTY_ARGS_STREAM:
+                args, context = (), None  # the constant no-arg frame
             else:
-                raise ProtocolError(f"unexpected marshal format {fmt}")
+                args, context = self._parse(fmt, payload,
+                                            offset=1 + _CALL_HDR.size,
+                                            call=True)
         finally:
             if ring_view is not None:
                 del payload  # drop the alias; args are private copies now
                 self._release_ring_view(ring_view)
-        if compiled:
-            entry = self.peer.exports.entry(export_id)
-            if entry is None:
-                raise RevokedException(
-                    f"export #{export_id} is gone (revoked or swept)"
-                )
-            _capability, bound = entry
-            if not 0 <= method_index < len(bound) or bound[method_index] is None:
-                raise ProtocolError(
-                    f"export #{export_id} has no compiled method "
-                    f"#{method_index}"
-                )
+        bound = self.peer.exports.methods(export_id)
+        if bound is None:
+            raise RevokedException(
+                f"export #{export_id} is gone (revoked or swept)"
+            )
+        if method_index >= len(bound) or bound[method_index] is None:
+            raise ProtocolError(
+                f"export #{export_id} has no method #{method_index}"
+            )
+        if context is None:
             return bound[method_index](*args)
-        capability = self.peer.exports.named(export_id, method)
-        if wire_context is None:
-            return getattr(capability, method)(*args, **kwargs)
-        # The caller's compressed context joins this process's walk for
-        # the duration of the dispatch (and of any nested call it makes)
-        # — the effective-permission intersection spans the process
-        # boundary.
-        with _policy.imported_context(wire_context):
-            return getattr(capability, method)(*args, **kwargs)
+        # The caller's context joins this process's walk for the dispatch
+        # (and any nested call it makes): the effective-permission
+        # intersection spans the process boundary.
+        with _policy.imported_context(context):
+            return bound[method_index](*args)
 
     def _serve_call(self, call_id, payload):
         fds = self._in_fds
@@ -1238,7 +1205,7 @@ class _Connection:
         # payloads that can carry a side table; the null-call hot path
         # never touches the thread-local.
         tracked = (len(payload) != 0
-                   and payload[0] in (MF_TABLED, MF_CALL_TABLED, MF_SHM))
+                   and payload[0] in (MF_CALL_TABLED, MF_SHM))
         if tracked:
             outer_grants = getattr(_dispatch_ctx, "region_grants", None)
             grants = _dispatch_ctx.region_grants = []
@@ -1353,14 +1320,7 @@ class _ConnectionPeer(_Peer):
         self.ring_close_failures = kernel.ring_close_failures
         self.ring_setup_failures = kernel.ring_setup_failures
 
-    def call(self, export_id, method, args, kwargs):
-        return self._connection.call(
-            OP_CALL, _call_envelope(export_id, method, args, kwargs)
-        )
-
     def call_fast(self, export_id, method_index, method, args):
-        if not COMPILED_WIRE:
-            return self.call(export_id, method, args, {})
         return self._connection.call_fast(export_id, method_index, args)
 
     def control(self, verb, *args):
@@ -1544,29 +1504,18 @@ class DomainClient(_Peer, Channel):
         return _Connection(sock, self)
 
     # -- peer interface ----------------------------------------------------
-    def call(self, export_id, method, args, kwargs):
-        request = _call_envelope(export_id, method, args, kwargs)
-        deadline = self._deadline()
-        return self._roundtrip(
-            lambda conn: conn.call(OP_CALL, request, deadline),
-            deadline, retry=method in self._idempotent,
-        )
-
     def call_fast(self, export_id, method_index, method, args):
-        # Idempotent-declared methods keep the generic path: retries
-        # are keyed on the method name.
-        if not COMPILED_WIRE or method in self._idempotent:
-            return self.call(export_id, method, args, {})
         deadline = self._deadline()
         return self._roundtrip(
             lambda conn: conn.call_fast(export_id, method_index, args,
                                         deadline),
-            deadline)
+            deadline, retry=method in self._idempotent,
+        )
 
-    def call_streamed(self, export_id, method_index, method, args, fd, *,
+    def call_streamed(self, export_id, method_index, args, fd, *,
                       on_grant=None):
-        """Invoke ``method`` (index ``method_index`` in the export's
-        method tuple) granting ``fd`` to the host via SCM_RIGHTS.
+        """Invoke the method at ``method_index`` in the export's method
+        tuple, granting ``fd`` to the host via SCM_RIGHTS.
 
         No retries of any kind: once the descriptor crosses, the callee
         may have written bytes to it, and a duplicate delivery could
@@ -1580,8 +1529,8 @@ class DomainClient(_Peer, Channel):
         deadline = self._deadline()
         connection, _reused = self._checkout()
         try:
-            return connection.call_streamed(export_id, method_index, method,
-                                            args, fd, deadline=deadline,
+            return connection.call_streamed(export_id, method_index, args,
+                                            fd, deadline=deadline,
                                             on_sent=on_grant)
         finally:
             self._release(connection)
@@ -1589,7 +1538,7 @@ class DomainClient(_Peer, Channel):
     def control(self, verb, *args):
         deadline = self._deadline()
         return self._roundtrip(
-            lambda conn: conn.call(OP_CONTROL, (verb, args), deadline),
+            lambda conn: conn.control(verb, args, deadline),
             deadline, retry=verb in IDEMPOTENT_CONTROL,
         )
 

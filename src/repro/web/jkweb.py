@@ -300,7 +300,7 @@ class _OutOfProcessGateway:
             return registration.proxy.service(request)
         try:
             result = client.call_streamed(
-                stream._export_id, index, "service",
+                stream._export_id, index,
                 (request, offer.version, offer.keep_alive),
                 offer.fd, on_grant=offer.grant,
             )

@@ -17,12 +17,16 @@ import threading
 import pytest
 
 from repro.core import Capability, Domain, Remote, RevokedException
-from repro.core.errors import NotSerializableError
+from repro.core.errors import AccessDeniedError, NotSerializableError
+from repro.core.serial import dumps
 from repro.ipc import ExportTable, ProtocolError, RemoteCapability
+from repro.ipc import lrmi
 from repro.ipc.lrmi import (
+    MF_CALL,
+    MF_INLINE,
     OP_BYE,
     OP_CALL,
-    OP_CONTROL,
+    _CALL_HDR,
     _Connection,
     _ConnectionPeer,
     _HostKernel,
@@ -75,12 +79,10 @@ class _Harness:
         self.kernel.register_connection(self.host_conn)
         self.client = _Peer()
         self.client_conn = _Connection(client_sock, self.client)
-        self.client.call = lambda eid, m, a, k: self.client_conn.call(
-            OP_CALL, (eid, m, a, k)
-        )
-        self.client.control = lambda verb, *args: self.client_conn.call(
-            OP_CONTROL, (verb, args)
-        )
+        self.client.call_fast = lambda eid, index, m, a: (
+            self.client_conn.call_fast(eid, index, a))
+        self.client.control = lambda verb, *args: self.client_conn.control(
+            verb, args)
         self.thread = threading.Thread(
             target=self.host_conn.serve_loop, daemon=True
         )
@@ -187,27 +189,71 @@ class TestProtocolRoundTrips:
         assert proxy.call_back(callback) == 14
 
 
-class TestGenericDispatchBoundToExports:
-    """A peer forging the generic envelope can name only what the
-    export exports: ``revoke`` (authority the paper gives the creator),
-    a dunder that would rebind the capability, and an unknown name each
-    get a typed error, change nothing, and leave the stream usable."""
+def _raw_call(connection, payload):
+    """Send ``payload`` as one OP_CALL frame, as a hostile peer would,
+    and await its reply on the same connection."""
+    call_id = connection._call_ids()
+    return connection._round(
+        lambda: connection._send(OP_CALL, call_id, payload), call_id, None)
 
-    @pytest.mark.parametrize("method", ["revoke", "__setattr__", "frobnicate"])
-    def test_forged_method_name_is_refused(self, harness, method):
+
+def _call_frame(export_id, method_index, *values):
+    return (bytes((MF_CALL,)) + _CALL_HDR.pack(export_id, method_index)
+            + b"".join(dumps(value) for value in values))
+
+
+class TestHostileCallFrames:
+    """A call is an MF_CALL frame addressed by method index, with at most
+    one value after the arguments: the caller's context.  Anything else
+    a raw peer sends gets a typed :class:`ProtocolError` reply, changes
+    nothing, and leaves the connection usable."""
+
+    @pytest.mark.parametrize("frame", [
+        "envelope", "index_past_table", "malformed_context",
+        "two_trailing_values",
+    ])
+    def test_forged_frame_is_refused(self, harness, frame):
         proxy = harness.lookup("unit")
-        capability = harness.kernel.exports.get(proxy._export_id)
+        export_id = proxy._export_id
+        capability = harness.kernel.exports.get(export_id)
         target = capability._target
-        # what a rebind would install: an export of the forging side
-        args = ("_target", _capability("forger")) if method == "__setattr__" \
-            else ()
-        with pytest.raises(ProtocolError, match="exports no method"):
-            harness.client.call(proxy._export_id, method, args, {})
+        payload = {
+            # the old envelope, naming an exported method by string
+            "envelope": bytes((MF_INLINE,)) + dumps(
+                (export_id, "echo", (3,), {})),
+            "index_past_table": _call_frame(
+                export_id, len(exported_methods(capability)), ()),
+            "malformed_context": _call_frame(
+                export_id, 0, (), ("kv.read",)),
+            "two_trailing_values": _call_frame(
+                export_id, 0, (), ((("kv", "*"),),), ((("kv", "*"),),)),
+        }[frame]
+        with pytest.raises(ProtocolError):
+            _raw_call(harness.client_conn, payload)
         assert not capability.revoked
         assert capability._target is target
-        assert harness.kernel.exports.get(proxy._export_id) is capability
-        assert proxy.ping() == 7
-        assert harness.client.call(proxy._export_id, "echo", (3,), {}) == 3
+        assert harness.kernel.exports.get(export_id) is capability
+        assert not harness.client_conn.closed
+        assert proxy.echo(3) == 3
+
+    def test_trailing_context_is_enforced(self, harness):
+        """A well-formed context after the arguments joins the host's
+        walk for the dispatch: a guarded method the context does not
+        grant is denied."""
+        guarded = Domain("guarded").run(lambda: Capability.create(
+            UnitImpl(), label="guarded", guard="unit.ping"))
+        harness.kernel.bindings["guarded"] = guarded
+        proxy = harness.lookup("guarded")
+        index = exported_methods(guarded).index("ping")
+        granted = ((("unit.ping", "*"),),)
+        assert _raw_call(harness.client_conn,
+                         _call_frame(proxy._export_id, index, (),
+                                     granted)) == 7
+        with pytest.raises(AccessDeniedError):
+            _raw_call(harness.client_conn,
+                      _call_frame(proxy._export_id, index, (),
+                                  ((("unit.echo", "*"),),)))
+        assert proxy.ping() == 7  # no context: the host's chain alone
 
     def test_typed_error_reply_keeps_the_connection(self, harness):
         """An error reply arrives whole, whatever its type: a callee's
@@ -226,14 +272,79 @@ class TestGenericDispatchBoundToExports:
         assert not harness.client_conn.closed
         assert proxy.echo(5) == 5
 
-    def test_export_records_its_names(self):
-        table = ExportTable()
-        export_id = table.export(_capability())
-        assert table.named(export_id, "ping") is table.get(export_id)
+
+class TestProxyCalls:
+    def test_keyword_call_raises_before_sending(self):
+        sent = []
+        peer = _Peer()
+        peer.call_fast = lambda *call: sent.append(call)
+        proxy = peer.proxy_for(1, "x", ("echo",))
+        with pytest.raises(TypeError, match="keyword"):
+            proxy.echo(value=3)
+        proxy.echo(3)
+        assert sent == [(1, 0, "echo", (3,))]
+
+    def test_restricted_caller_context_follows_the_arguments(self, harness):
+        """An unrestricted frame ends with the arguments; a restricted
+        caller's context is one more value in the same MF_CALL frame."""
+        frames = []
+        original = harness.client_conn._send_built
+
+        def spying(frame, splice_at, descriptors, fds=()):
+            if frame[0] == OP_CALL:
+                frames.append(bytes(frame))
+            return original(frame, splice_at, descriptors, fds)
+
+        harness.client_conn._send_built = spying
+        proxy = harness.lookup("unit")
+        assert proxy.echo(3) == 3
+        caller = Domain("restricted-unit-caller")
+        caller.set_policy(["kv.read"])
+        assert caller.run(lambda: proxy.echo(3)) == 3
+        plain, restricted = frames
+        header = 6 + _CALL_HDR.size
+        assert plain[5] == MF_CALL
+        assert restricted[5:header] == plain[5:header]
+        assert plain[header:] == dumps((3,))
+        assert restricted[header:] == dumps((3,)) + dumps(
+            ((("kv.read", "*"),),))
+
+
+class TestExportDescriptors:
+    """A peer's method tuple becomes a proxy class only when every name
+    is a plain public identifier that no proxy member already uses."""
+
+    @pytest.mark.parametrize("methods", [
+        ("__bool__",), ("__init__",), ("_target",), ("revoke",),
+        ("revoked",), ("label",), ("class",), ("not-a-name",),
+        ("ping", "ping"), (7,), ["ping"],
+        tuple(f"m{i}" for i in range(257)),
+    ], ids=lambda methods: repr(methods)[:20])
+    def test_bad_method_tuple_is_refused(self, methods):
+        peer = _Peer()
+        before = dict(lrmi._proxy_classes)
         with pytest.raises(ProtocolError):
-            table.named(export_id, "_target")
-        with pytest.raises(RevokedException):
-            table.named(export_id + 1, "ping")
+            peer.proxy_for(1, "x", methods)
+        with pytest.raises(ProtocolError):
+            _resolve(peer, ("export", 2, "x", methods))
+        assert dict(lrmi._proxy_classes) == before
+        assert peer._proxies == {}
+
+    def test_full_index_space_is_accepted(self):
+        methods = tuple(f"m{i}" for i in range(256))
+        proxy = _Peer().proxy_for(1, "x", methods)
+        assert exported_methods(proxy) == methods
+
+    def test_export_past_the_index_space_is_not_serializable(self):
+        wide = type("IWide", (Remote,), {
+            f"m{i}": (lambda self: None) for i in range(257)})
+        impl = type("WideImpl", (wide,), {})
+        capability = Domain("wide").run(
+            lambda: Capability.create(impl(), label="wide"))
+        peer = _Peer()
+        with pytest.raises(NotSerializableError, match="256"):
+            _describe(peer, capability)
+        assert len(peer.exports) == 0
 
 
 class TestMarshalLayer:
@@ -363,7 +474,7 @@ class TestWireRobustness:
     def test_peer_base_requires_overrides(self):
         peer = _Peer()
         with pytest.raises(NotImplementedError):
-            peer.call(1, "m", (), {})
+            peer.call_fast(1, 0, "m", ())
         with pytest.raises(NotImplementedError):
             peer.control("stats")
 

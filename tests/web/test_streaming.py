@@ -11,12 +11,14 @@ import os
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.core import Domain
+from repro.core import Domain, check_permission
 from repro.ipc import lrmi
 from repro.web import JKernelWebServer, Servlet, ServletRequest, ServletResponse
+from repro.web.jkweb import SystemServlet
 from repro.web import streaming
 from repro.web.client import fetch_many, fetch_once, fetch_pipelined
 from repro.web.streaming import STREAMED, StreamWriteError, write_all_fd
@@ -146,17 +148,6 @@ class TestStreamedReplies:
             assert registration.account.requests == 3
 
 
-class TestStreamedRepliesGenericWire(TestStreamedReplies):
-    """The same streamed-reply suite with the wire forced generic (as
-    ``tests/ipc/conftest.py`` runs the xproc matrix): the page call then
-    goes out as the tagged envelope, and every behaviour must hold."""
-
-    @pytest.fixture(autouse=True)
-    def generic_wire(self, monkeypatch):
-        # Patched before any host forks, so both ends agree.
-        monkeypatch.setattr(lrmi, "COMPILED_WIRE", False)
-
-
 class _FrameSpy:
     """Records the marshal format of every fd-granting frame this
     process sends: the streamed page calls."""
@@ -184,11 +175,16 @@ def _read_response(sock, size):
     return data
 
 
+class _GuardedServlet(Servlet):
+    def service(self, request):
+        check_permission("kv.write")
+        return ServletResponse(200, {}, b"written")
+
+
 class TestStreamedCallFrame:
-    """Which frame the streamed page call goes out as: the compiled
-    MF_CALL for an unrestricted caller, the generic envelope (carrying
-    the compressed access-control context) for a restricted one or with
-    the compiled wire switched off."""
+    """The streamed page call goes out as the compiled MF_CALL frame
+    whoever calls: a restricted caller's compressed access-control
+    context rides the same frame, after the arguments."""
 
     @staticmethod
     def _serve_one(gateway, caller=None):
@@ -209,7 +205,7 @@ class TestStreamedCallFrame:
             left.close()
             right.close()
 
-    def test_unrestricted_call_is_compiled_restricted_is_generic(
+    def test_restricted_and_unrestricted_calls_are_compiled(
             self, monkeypatch):
         spy = _FrameSpy(monkeypatch)
         restricted = Domain("restricted-caller")
@@ -224,16 +220,43 @@ class TestStreamedCallFrame:
                 self._serve_one(gateway)
         finally:
             restricted.terminate()
-        assert spy.formats == [lrmi.MF_CALL, lrmi.MF_INLINE, lrmi.MF_CALL]
+        assert spy.formats == [lrmi.MF_CALL, lrmi.MF_CALL, lrmi.MF_CALL]
 
-    def test_generic_wire_sends_the_envelope(self, monkeypatch):
-        monkeypatch.setattr(lrmi, "COMPILED_WIRE", False)
+    def test_restricted_call_the_servlet_denies_is_403(self, monkeypatch):
+        """The host enforces the context the frame carried: the servlet
+        demands ``kv.write``, the caller's chain holds only ``kv.read``,
+        and the page is Forbidden with nothing written to the socket."""
         spy = _FrameSpy(monkeypatch)
-        with JKernelWebServer(workers=1) as jk:
-            registration = jk.install_servlet_out_of_process(
-                "/frame", _body_servlet(b"frame-body"))
-            self._serve_one(registration.capability)
-        assert spy.formats == [lrmi.MF_INLINE]
+        restricted = Domain("restricted-caller")
+        restricted.set_policy(["kv.read"])
+        left, right = socket.socketpair()
+        try:
+            with JKernelWebServer(workers=1) as jk:
+                registration = jk.install_servlet_out_of_process(
+                    "/guarded", _GuardedServlet)
+                route = SimpleNamespace(prefix="/servlet/guarded",
+                                        registration=None,
+                                        capability=registration.capability)
+                request = ServletRequest("GET", "/servlet/guarded",
+                                         {"Host": "x"})
+                offer = streaming.open_offer(left.fileno(), "HTTP/1.0",
+                                             False)
+                try:
+                    response = restricted.run(
+                        lambda: SystemServlet._invoke(route, request))
+                finally:
+                    streaming.close_offer()
+                # the same page from an unrestricted chain is served
+                assert registration.capability.service(
+                    request).status == 200
+        finally:
+            restricted.terminate()
+            left.close()
+            right.close()
+        assert response.status == 403
+        assert b"access denied" in response.body
+        assert not offer.granted and not offer.streamed
+        assert spy.formats == [lrmi.MF_CALL]
 
 
 class TestWriteAllFd:
