@@ -383,8 +383,6 @@ class ExportTable:
 class RemoteCapability:
     """Base class of generated cross-process capability proxies."""
 
-    _methods = ()
-
     def __init__(self, peer, export_id, label, methods):
         self._peer = peer
         self._export_id = export_id
@@ -501,17 +499,15 @@ def _describe(peer, capability):
     methods = exported_methods(capability)
     if len(methods) > _MAX_METHODS:
         raise NotSerializableError(
-            f"{len(methods)} remote methods: a method index addresses at "
-            f"most {_MAX_METHODS}"
-        )
+            f"{len(methods)} remote methods, over {_MAX_METHODS}")
     export_id = peer.exports.export(capability)
     label = getattr(capability, "label", None) or type(capability).__name__
     return ("export", export_id, str(label), methods)
 
 
 def _resolve(peer, descriptor):
-    kind = descriptor[0]
-    if kind == "back":
+    kind = descriptor[0] if type(descriptor) is tuple and descriptor else None
+    if kind == "back" and len(descriptor) == 2:
         capability = peer.exports.get(descriptor[1])
         if capability is None:
             raise RevokedException(
@@ -542,6 +538,8 @@ def _read_tabled(peer, view, call=False):
     """Parse ``dumps(descriptors) ++ value stream`` from one buffer."""
     reader = ObjectReader(view)
     descriptors = reader.read()
+    if type(descriptors) is not tuple:
+        raise ProtocolError("capability descriptors are no tuple")
     reader.capability_table = [
         _resolve(peer, descriptor) for descriptor in descriptors
     ]
@@ -752,9 +750,8 @@ class _Connection:
         """Compose and send one MF_CALL frame.  A restricted caller's
         compressed access-control context follows the arguments as one
         more value; an unrestricted caller's frame ends with them."""
-        context = (_policy.exported_wire_context() if _policy.restricted()
-                   else None)
-        if not args and not fds and context is None:
+        context = _policy.restricted() and _policy.exported_wire_context()
+        if not args and not fds and not context:
             # A no-arg call is constant but for the ids: one pack, no
             # frame buffer, no serializer.
             frame = _NULL_CALL_FRAME.pack(16, OP_CALL, call_id, MF_CALL,
@@ -767,7 +764,7 @@ class _Connection:
         frame += _CALL_PREFIX.pack(OP_CALL, call_id, MF_CALL,
                                    export_id, method_index)
         self._writer.write(args)
-        if context is not None:
+        if context:
             self._writer.write(context)
         table = self._table
         descriptors = None
@@ -1165,7 +1162,10 @@ class _Connection:
         try:
             if fmt != MF_CALL and fmt != MF_CALL_TABLED:
                 raise ProtocolError(f"unexpected call format {fmt}")
-            export_id, method_index = _CALL_HDR.unpack_from(payload, 1)
+            try:
+                export_id, method_index = _CALL_HDR.unpack_from(payload, 1)
+            except struct.error:
+                raise ProtocolError("truncated call header") from None
             if payload[1 + _CALL_HDR.size:] == _EMPTY_ARGS_STREAM:
                 args, context = (), None  # the constant no-arg frame
             else:

@@ -23,6 +23,7 @@ from repro.ipc import ExportTable, ProtocolError, RemoteCapability
 from repro.ipc import lrmi
 from repro.ipc.lrmi import (
     MF_CALL,
+    MF_CALL_TABLED,
     MF_INLINE,
     OP_BYE,
     OP_CALL,
@@ -210,7 +211,8 @@ class TestHostileCallFrames:
 
     @pytest.mark.parametrize("frame", [
         "envelope", "index_past_table", "malformed_context",
-        "two_trailing_values",
+        "two_trailing_values", "short_header", "descriptors_no_tuple",
+        "descriptor_no_tuple",
     ])
     def test_forged_frame_is_refused(self, harness, frame):
         proxy = harness.lookup("unit")
@@ -227,6 +229,12 @@ class TestHostileCallFrames:
                 export_id, 0, (), ("kv.read",)),
             "two_trailing_values": _call_frame(
                 export_id, 0, (), ((("kv", "*"),),), ((("kv", "*"),),)),
+            "short_header": bytes((MF_CALL, 0, 0)),
+            # MF_CALL_TABLED: call header, descriptors, then the args
+            "descriptors_no_tuple": bytes((MF_CALL_TABLED,))
+            + _CALL_HDR.pack(export_id, 0) + dumps(5) + dumps(()),
+            "descriptor_no_tuple": bytes((MF_CALL_TABLED,))
+            + _CALL_HDR.pack(export_id, 0) + dumps(("back",)) + dumps(()),
         }[frame]
         with pytest.raises(ProtocolError):
             _raw_call(harness.client_conn, payload)
