@@ -182,7 +182,7 @@ class _GuardedServlet(Servlet):
 
 
 class TestStreamedCallFrame:
-    """The streamed page call goes out as the compiled MF_CALL frame
+    """The streamed page call goes out as the MF_CALL frame
     whoever calls: a restricted caller's compressed access-control
     context rides the same frame, after the arguments."""
 
