@@ -8,8 +8,9 @@ Demonstrates the two process-boundary tiers PR 5 added on top of the
 reactor:
 
 * a :class:`~repro.web.prefork.PreforkServer` master forking N
-  J-Kernel web-server workers behind one port (SO_REUSEPORT when the
-  platform has it), with rolling hot-swap and cross-process accounting;
+  J-Kernel web-server workers behind one port (each on its own
+  SO_REUSEPORT listener, each an LRMI endpoint the master controls),
+  with rolling hot-swap and cross-process accounting;
 * a servlet deployed *out-of-process* (Remote-Playground style): its
   domain lives in a forked host reached through cross-process LRMI, so
   killing that process 503s its URLs — and the supervisor respawns it —

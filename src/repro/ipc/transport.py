@@ -5,9 +5,12 @@ fleet's hosts among them) and the Table 2 ``ntrpc`` baseline
 (``repro.bench.baselines.ntrpc``) — carries the paper's guarantee that a
 callee "can neither block nor kill its caller's thread" through the same
 two mechanisms, which exist once, in this module:
-:class:`EndpointProcess` (fork a child that serves on a socket path and
-supervise it; :class:`SocketServer` is the accept loop it runs) and
-:class:`Channel` (the caller's pool, probe, deadline, replay, back-off).
+:class:`EndpointProcess` (fork a child that serves on a socket path;
+:class:`SocketServer` is the accept loop it runs, :class:`Supervisor`
+watches and replaces the children) and :class:`Channel` (the caller's
+pool, probe, deadline, replay, back-off).  Prefork workers and
+out-of-process servlets are endpoints too, so this is the one place the
+product forks.
 ``lrmi`` and ``ntrpc`` supply what is theirs: how a dialed socket is
 wrapped, what an idle-but-readable socket means, which typed errors to
 raise, which calls may be retried.
@@ -44,6 +47,9 @@ PROBE_FRESH_S = 0.005
 STARTUP_TIMEOUT_S = 10.0
 STARTUP_POLL_S = 0.005
 ORPHAN_POLL_S = 0.1
+
+#: How often a :class:`Supervisor` looks for dead children.
+SUPERVISE_POLL_S = 0.05
 
 
 def socket_path(prefix):
@@ -275,6 +281,105 @@ def _exit_when_orphaned(parent_pid):
     while os.getppid() == parent_pid:
         time.sleep(ORPHAN_POLL_S)
     os._exit(0)
+
+
+class Supervisor:
+    """Death detection and a respawn budget for a set of children, on one
+    poll thread.
+
+    A child is what ``make()`` returns: an object with ``start()`` (it
+    returns serving or raises), ``alive()`` and ``stop()`` — an
+    :class:`EndpointProcess`, whose subclass may also connect to the
+    child in ``start()`` and close that connection in ``stop()``.
+    :meth:`spawn` is all-or-nothing: a child whose start fails is
+    stopped before the error propagates.
+
+    :attr:`children` is the owner's list of watched children, guarded by
+    :attr:`lock`.  Each :meth:`check` hands a dead child to
+    ``on_death`` (fold what it last reported), stops it, and spawns its
+    replacement into the same slot.  Every attempt spends one unit of
+    ``max_respawns``; a failed one is counted in :attr:`spawn_failures`
+    (its error kept in :attr:`last_error`) and the next follows at once.
+    A slot whose budget is spent is dropped.  ``on_replace(old, new)``
+    runs after either, with ``new`` None for a dropped slot, and
+    ``on_live(child)`` runs for each live child on every pass.
+    """
+
+    def __init__(self, make, *, max_respawns=8, name="supervisor",
+                 on_death=None, on_replace=None, on_live=None):
+        self.make = make
+        self.max_respawns = max_respawns
+        self.name = name
+        self.on_death = on_death
+        self.on_replace = on_replace
+        self.on_live = on_live
+        self.children = []
+        self.lock = threading.RLock()
+        self.respawns = 0
+        self.spawn_failures = 0
+        self.last_error = None
+        self._stopping = threading.Event()
+        self._thread = None
+
+    def spawn(self):
+        """A started child, or the start's error with nothing left
+        running."""
+        child = self.make()
+        try:
+            return child.start()
+        except BaseException:
+            child.stop()
+            raise
+
+    def start(self):
+        """Start the poll thread."""
+        self._stopping.clear()
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name=self.name)
+        self._thread.start()
+        return self
+
+    def stop(self):
+        """End the poll thread, after any respawn it is making; the
+        children stay the owner's to stop."""
+        self._stopping.set()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def _run(self):
+        while not self._stopping.wait(SUPERVISE_POLL_S):
+            self.check()
+
+    def check(self):
+        """One pass over the children."""
+        with self.lock:
+            for child in list(self.children):
+                if not child.alive():
+                    self._replace(child)
+                elif self.on_live is not None:
+                    self.on_live(child)
+
+    def _replace(self, child):
+        if self.on_death is not None:
+            self.on_death(child)
+        child.stop()
+        replacement = None
+        while (replacement is None and not self._stopping.is_set()
+               and self.respawns + self.spawn_failures < self.max_respawns):
+            try:
+                replacement = self.spawn()
+            except Exception as exc:
+                self.spawn_failures += 1
+                self.last_error = exc
+        slot = self.children.index(child)
+        if replacement is None:
+            del self.children[slot]
+        else:
+            self.children[slot] = replacement
+            self.respawns += 1
+        if self.on_replace is not None:
+            self.on_replace(child, replacement)
 
 
 # -- the client channel -------------------------------------------------------

@@ -5,7 +5,7 @@ any injected fault, a client observes a typed error or a successfully
 retried call within its deadline — never a hang, never a silently
 wrong answer.  This module is how the claim is exercised:
 
-* **crash-at-point** — named crash points in the prefork worker loop
+* **crash-at-point** — named crash points in the prefork worker's verbs
   and the LRMI host dispatch path ``os._exit`` the process mid-
   operation (after a configurable number of passes), reproducing a
   worker dying between parse and flush or a host dying mid-call;
@@ -77,8 +77,8 @@ CRASH_STATUS = 137
 
 #: Crash points wired into the production layers.
 KNOWN_POINTS = (
-    "prefork.worker.message",   # worker control loop, pre-dispatch
-    "prefork.worker.stats",     # worker about to answer a STATS poll
+    "prefork.worker.message",   # top of each IWorker verb
+    "prefork.worker.stats",     # worker about to answer a stats() poll
     "lrmi.host.dispatch",       # domain host mid-call, pre-reply
     "wire.send",                # either peer, just before a framed send
     "fleet.host.invoke",        # fleet host mid-invoke, pre-reply

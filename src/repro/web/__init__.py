@@ -33,7 +33,7 @@ from .jkweb import (
     ServletRegistration,
     SystemServlet,
 )
-from .prefork import PreforkError, PreforkServer, WorkerHandle
+from .prefork import PreforkError, PreforkServer
 from .servlet import (
     Servlet,
     ServletRequest,
@@ -62,7 +62,6 @@ __all__ = [
     "ServletRequest",
     "ServletResponse",
     "SystemServlet",
-    "WorkerHandle",
     "error_response",
     "fetch_many",
     "fetch_once",

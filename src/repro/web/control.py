@@ -1,6 +1,6 @@
 """Fleet control plane: admission control and worker autoscaling.
 
-The PR-5 prefork master *measures* (STATS control-pipe reports) and
+The PR-5 prefork master *measures* (its workers' ``stats()`` reports) and
 *replaces* (crash respawn, rolling restarts); this module makes the
 fleet self-defending and self-sizing:
 
@@ -14,8 +14,8 @@ fleet self-defending and self-sizing:
   (``repro.core.quota``) are deprioritized — shed ahead of everyone
   at a fraction of their share — while still served on an idle box.
 * :class:`Autoscaler` — sizes the prefork fleet from the shed-rate and
-  p99-latency signals already flowing over the STATS pipe: scale-up
-  forks a worker through the crash-replacement path, scale-down drains
+  p99-latency signals already in the workers' ``stats()`` reports:
+  scale-up spawns a worker through the supervisor, scale-down drains
   one through the rolling-restart retirement path, so neither direction
   ever drops an in-flight request.
 * :class:`LatencyTracker` — the shared p99 estimator (lock-free ring;
@@ -329,8 +329,8 @@ class AutoscalePolicy:
 
 def fleet_signals(stats):
     """Aggregate (shed_rate, p99_ms, sheds, decisions) from a prefork
-    ``stats()`` report: each worker's reactor stats ride the STATS pipe
-    under ``server``/``admission``."""
+    ``stats()`` report: each worker's reactor stats ride its ``stats()``
+    reply under ``server``/``admission``."""
     sheds = admitted = 0
     p99 = 0.0
     for report in stats.get("workers", ()):
@@ -345,7 +345,7 @@ def fleet_signals(stats):
 
 
 class Autoscaler:
-    """Drives ``prefork.scale_to`` from STATS-pipe signals.
+    """Drives ``prefork.scale_to`` from the workers' reported signals.
 
     Shed-rate is computed over the *window between ticks* (diffing
     cumulative counters), so one historical burst cannot pin the fleet

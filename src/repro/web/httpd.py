@@ -53,9 +53,8 @@ def make_listener(host, port, *, reuse_port=False, backlog=128,
 
     ``reuse_port=True`` sets ``SO_REUSEPORT`` so several processes can
     bind the same port and let the kernel spread connections across them
-    (the prefork tier's primary mode); it raises ``OSError`` on platforms
-    without the option, letting callers fall back to sharing one
-    inherited listener fd across forks instead.
+    (how prefork workers listen); it raises ``OSError`` on platforms
+    without the option.
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
@@ -1117,8 +1116,7 @@ class NativeHttpServer:
     def start(self, listener=None):
         """Start serving.  ``listener`` (optional) is a pre-bound
         listening socket to adopt instead of binding a fresh one — the
-        prefork tier passes either a worker-owned ``SO_REUSEPORT`` socket
-        or the listener fd inherited from the master across ``fork``."""
+        prefork tier passes each worker's own ``SO_REUSEPORT`` socket."""
         if self._running:
             return self
         if listener is not None:

@@ -39,6 +39,8 @@ from repro.core import (
 )
 from repro.core.accounting import ShardedCounter
 from repro.core.quota import QuotaManager
+from repro.ipc.lrmi import DomainHostProcess, connect, exported_methods
+from repro.ipc.transport import Supervisor
 
 from . import streaming
 from .control import AdmissionController
@@ -270,7 +272,7 @@ class _OutOfProcessGateway:
         registration._in_flight.add(1)
         try:
             offer = streaming.claim()
-            if offer is not None and registration.stream_proxy is not None:
+            if offer is not None:
                 return self._stream(registration, offer, request)
             return registration.proxy.service(request)
         finally:
@@ -296,8 +298,6 @@ class _OutOfProcessGateway:
             client = registration.client
             stream = registration.stream_proxy
             index = registration.stream_index
-        if stream is None:
-            return registration.proxy.service(request)
         try:
             result = client.call_streamed(
                 stream._export_id, index,
@@ -326,6 +326,32 @@ class _OutOfProcessGateway:
         return streaming.STREAMED
 
 
+class _ServletHost(DomainHostProcess):
+    """One servlet host, with this process's client, its servlet proxy
+    and its reply-streaming proxy once started: what the supervisor
+    starts, watches and replaces as a whole."""
+
+    def __init__(self, setup, name):
+        super().__init__(setup, name=name)
+        self.client = self.proxy = None
+        self.stream_proxy = self.stream_index = None
+
+    def start(self):
+        super().start()
+        self.client = connect(self)
+        self.proxy = self.client.lookup("servlet")
+        self.stream_proxy = self.client.lookup("__stream__")
+        # Resolved once per proxy, not per request.
+        self.stream_index = exported_methods(
+            self.stream_proxy).index("service")
+        return self
+
+    def stop(self):
+        if self.client is not None:
+            self.client.close()
+        super().stop()
+
+
 class OutOfProcessRegistration:
     """Book-keeping for one servlet deployed in a separate OS process
     (the Remote-Playground deployment: untrusted code behind a hard
@@ -333,64 +359,55 @@ class OutOfProcessRegistration:
 
     Duck-compatible with :class:`ServletRegistration` where the system
     servlet and web server touch it (``capability``/``draining``/
-    ``charge_request``/``retire``), plus a supervisor that respawns the
-    host process when it dies — in-flight requests during the outage get
-    503s (via :class:`DomainUnavailableException`), never hangs.
+    ``charge_request``/``retire``).  ``setup`` runs in the host after
+    fork and returns its bindings, ``"servlet"`` and ``"__stream__"``;
+    the first host is started here, and a failed start leaves nothing
+    running.  With ``supervise`` a :class:`~repro.ipc.transport.Supervisor`
+    respawns the host when it dies — in-flight requests during the
+    outage get 503s (via :class:`DomainUnavailableException`), never
+    hangs.  ``host``, ``client``, ``proxy`` and ``respawns`` are plain
+    attributes, and the gateway reads ``client`` and ``proxy`` on each
+    request, so a caller may rebind them (a tracing wrapper, say).
     """
 
-    _RESPAWN_POLL_S = 0.05
+    #: Supervisor passes between two quota reconciles.
+    _RECONCILE_EVERY = 10
 
-    def __init__(self, prefix, setup, host, client, proxy, *,
-                 supervise=True, max_respawns=8):
-        from repro.ipc.lrmi import DomainHostProcess
-
+    def __init__(self, prefix, setup, *, supervise=True, max_respawns=8):
         self.prefix = prefix
         self.name = f"xproc{prefix.replace('/', '-')}"
-        self._setup = setup
-        self._host_factory = lambda: DomainHostProcess(
-            setup, name=self.name
-        ).start()
-        self.host = host
-        self.client = client
-        self.proxy = proxy
-        # Reply streaming is an optimization the host may decline (an
-        # old host image without the __stream__ binding): the gateway
-        # falls back to marshalled replies when this stays None.
-        self.stream_proxy, self.stream_index = self._lookup_stream(client)
-        self._stream_armed = self.stream_proxy is not None
-        if self._stream_armed:
-            streaming.arm()
-        self.account = get_accountant().account(self)
-        self.respawns = 0
-        self.max_respawns = max_respawns
+        self._lock = threading.Lock()
         self._draining = False
         self._in_flight = ShardedCounter()
-        self._monitor = None
-        self._lock = threading.Lock()
         # Armed by the web server when the prefix has a QuotaSpec.
         self.quota = None
         self.quota_key = None
-        self._reconcile_every = 10  # supervisor polls between stats RPCs
-        self._poll_count = 0
+        self._passes = 0
+        self.respawns = 0
+        self._supervisor = Supervisor(
+            lambda: _ServletHost(setup, self.name),
+            max_respawns=max_respawns, name=f"{self.name}-supervisor",
+            on_death=self._fold_quota, on_replace=self._publish_host,
+            on_live=self._reconcile_now_and_then,
+        )
+        host = self._supervisor.spawn()
+        self._supervisor.children.append(host)
+        self._publish_host(None, host)
+        streaming.arm()
+        self.account = get_accountant().account(self)
         if supervise:
-            self._monitor = threading.Thread(
-                target=self._supervise, daemon=True,
-                name=f"{self.name}-supervisor",
-            )
-            self._monitor.start()
+            self._supervisor.start()
 
-    @staticmethod
-    def _lookup_stream(client):
-        """The host's reply-streaming proxy and the compiled method index
-        of its ``service`` — resolved once per proxy, not per request —
-        or ``(None, None)`` when the host declines streaming."""
-        from repro.ipc.lrmi import exported_methods
-
-        try:
-            stream = client.lookup("__stream__")
-            return stream, exported_methods(stream).index("service")
-        except Exception:
-            return None, None
+    def _publish_host(self, old, host):
+        """Point the gateway at ``host``; None (a spent respawn budget)
+        keeps the stopped host's closed client, so requests get 503."""
+        with self._lock:
+            self.host = host
+            self.respawns = self._supervisor.respawns
+            if host is not None:
+                self.client, self.proxy = host.client, host.proxy
+                self.stream_proxy = host.stream_proxy
+                self.stream_index = host.stream_index
 
     # -- ServletRegistration duck interface --------------------------------
     @property
@@ -419,9 +436,9 @@ class OutOfProcessRegistration:
         return self.client.stats()
 
     def reconcile_quota(self):
-        """Pull the host's accounting report over the control pipe and
-        fold it into the tenant's budget position (summed across the
-        host's domains — they all belong to this tenant)."""
+        """Pull the host's accounting report over LRMI and fold it into
+        the tenant's budget position (summed across the host's domains —
+        they all belong to this tenant)."""
         if self.quota is None:
             return None
         report = self.client.stats()
@@ -431,7 +448,16 @@ class OutOfProcessRegistration:
                 snapshot[key] = snapshot.get(key, 0) + value
         return self.quota.reconcile(self.quota_key, snapshot)
 
-    def _fold_quota(self):
+    def _reconcile_now_and_then(self, host):
+        self._passes += 1
+        if self.quota is None or self._passes % self._RECONCILE_EVERY:
+            return
+        try:
+            self.reconcile_quota()
+        except DomainUnavailableException:
+            pass  # died since alive(): the next pass folds it
+
+    def _fold_quota(self, host=None):
         """Retire the last live host report (the host died/stopped);
         the replacement reports from zero without resetting usage."""
         if self.quota is None:
@@ -451,82 +477,22 @@ class OutOfProcessRegistration:
 
     def retire(self, timeout=5.0):
         drained = self.drain(timeout)
-        with self._lock:
-            host, client = self.host, self.client
-            self.host = None
-            self.stream_proxy = None
-            if self._stream_armed:
-                self._stream_armed = False
-                streaming.disarm()
-        try:
-            client.terminate("servlet")
-        except Exception:
-            pass  # a dead host has terminated already
-        client.close()
-        if host is not None:
+        supervisor = self._supervisor
+        supervisor.stop()
+        with supervisor.lock:
+            hosts = list(supervisor.children)
+            supervisor.children.clear()
+        self._publish_host(self.host, None)
+        for host in hosts:
+            try:
+                host.client.terminate("servlet")
+            except DomainUnavailableException:
+                pass  # a dead host has terminated already
             host.stop()
+        streaming.disarm()
         self._fold_quota()
         get_accountant().release_domain(self)
         return drained
-
-    # -- supervision -------------------------------------------------------
-    def _supervise(self):
-        from repro.ipc.lrmi import connect
-
-        while True:
-            time.sleep(self._RESPAWN_POLL_S)
-            with self._lock:
-                host = self.host
-                if self._draining or host is None:
-                    return
-                if host.alive():
-                    self._poll_count += 1
-                    if (self.quota is not None
-                            and self._poll_count % self._reconcile_every
-                            == 0):
-                        try:
-                            self.reconcile_quota()
-                        except Exception:
-                            pass  # host mid-crash; the death path folds
-                    continue
-                # Host is dead: retire its last reported usage so the
-                # replacement (reporting from zero) cannot reset the
-                # tenant's budget position.
-                self._fold_quota()
-                if self.respawns >= self.max_respawns:
-                    self.host = None
-                    return
-                # Replace the dead worker: fresh fork, fresh connection,
-                # proxy swap.  Requests racing the window keep getting
-                # DomainUnavailableException -> 503 from the gateway.
-                try:
-                    replacement = self._host_factory()
-                    client = connect(replacement)
-                    proxy = client.lookup("servlet")
-                except Exception:
-                    self.respawns += 1
-                    continue
-                old_client = self.client
-                old_host = host
-                self.host = replacement
-                self.client = client
-                self.proxy = proxy
-                # Fresh host, fresh export table: the old stream proxy's
-                # export id means nothing to the replacement.
-                self.stream_proxy, self.stream_index = (
-                    self._lookup_stream(client))
-                armed = self.stream_proxy is not None
-                if armed and not self._stream_armed:
-                    streaming.arm()
-                elif not armed and self._stream_armed:
-                    streaming.disarm()
-                self._stream_armed = armed
-                self.respawns += 1
-                old_client.close()
-                # The dead host was reaped by alive(); stop() still
-                # unlinks its /tmp socket path so crash-looping servlets
-                # cannot litter the temp directory.
-                old_host.stop()
 
 
 class JKernelWebServer:
@@ -545,7 +511,7 @@ class JKernelWebServer:
     ``workers`` sizes the underlying reactor's event-loop pool when no
     ``server`` is supplied (``JKernelWebServer(workers=4)``); for
     multi-*process* serving wrap the construction in
-    :class:`~repro.web.prefork.PreforkServer`, which forks one of these
+    :class:`~repro.web.prefork.PreforkServer`, which runs one of these
     per worker process.
     """
 
@@ -743,15 +709,13 @@ class JKernelWebServer:
         trusted/system crossings stay on the in-process fast path.
 
         ``servlet_factory`` runs in the child after fork (closures are
-        fine).  With ``supervise=True`` a monitor thread respawns the
-        host if it dies; requests racing the outage are answered 503.
+        fine).  With ``supervise=True`` a supervisor respawns the host
+        if it dies; requests racing the outage are answered 503.
         ``policy`` restricts the servlet's domain *inside the host
         process* (and again after every respawn) — its restricted
         context rides the LRMI wire, so guarded capabilities back in
         this process still deny; the typed error marshals home as a 403.
         """
-        from repro.ipc.lrmi import DomainHostProcess, connect
-
         name = domain_name or f"servlet{prefix.replace('/', '-')}"
 
         def setup():
@@ -781,12 +745,8 @@ class JKernelWebServer:
             )
             return {"servlet": servlet_cap, "__stream__": stream_cap}
 
-        host = DomainHostProcess(setup, name=name).start()
-        client = connect(host)
-        proxy = client.lookup("servlet")
         registration = OutOfProcessRegistration(
-            prefix, setup, host, client, proxy,
-            supervise=supervise, max_respawns=max_respawns,
+            prefix, setup, supervise=supervise, max_respawns=max_respawns,
         )
         return self._publish(prefix, registration)
 

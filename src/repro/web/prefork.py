@@ -2,225 +2,206 @@
 
 The PR 4 reactor parallelized I/O across event-loop *threads*, but every
 thread shares one GIL — the scaling axis a single CPython process cannot
-cross.  This tier forks N worker processes, each running its own full
+cross.  This tier runs N worker processes, each running its own full
 reactor (built by ``app_factory`` in the child), so request processing
 uses real cores.
 
-Socket strategy
----------------
+Workers
+-------
 
-* ``SO_REUSEPORT`` (primary): the master binds once to pick the port,
-  then each worker binds its *own* listener with ``SO_REUSEPORT`` — the
-  kernel hashes incoming connections across the bound sockets, so there
-  is no shared accept lock and no thundering herd.
-* inherited-listener fallback: on platforms without the option the
-  master keeps its bound listener and every forked worker accepts on the
-  inherited fd (the classic prefork accept model).
+A worker is a :class:`~repro.ipc.lrmi.DomainHostProcess`.  Its setup
+runs in the child: it binds the worker's own ``SO_REUSEPORT`` listener
+on the master's port (the kernel hashes incoming connections across the
+bound sockets, so there is no shared accept lock and no thundering
+herd), builds the app, starts it, and publishes one binding, an
+:class:`IWorker` capability.  The setup finishes before the endpoint's
+socket is bound, so a worker the master can connect to already serves
+HTTP.  ``start()`` fails before any fork where ``SO_REUSEPORT`` is
+missing.
 
 Control plane
 -------------
 
-Each worker gets a ``socketpair`` control pipe speaking length-prefixed
-JSON frames (the ``repro.ipc.wire`` framing): ``READY`` on startup,
-``STATS`` polls, ``DRAIN`` for graceful retirement (stop accepting,
-let in-flight requests finish, report final counters, exit) and ``STOP``
-for immediate teardown.  The master's monitor thread detects crashed
-workers with ``waitpid(WNOHANG)`` and forks replacements, and
+The master speaks to each worker over ordinary LRMI: ``stats()`` polls
+its counters, ``drain(timeout)`` retires it gracefully (stop accepting,
+let in-flight requests finish, report final counters), and a stop is a
+final ``stats()`` report followed by the endpoint's ``stop()``.  One
+:class:`~repro.ipc.transport.Supervisor` detects crashed workers,
+replaces them within the ``max_respawns`` budget, and
 ``rolling_restart()`` hot-swaps the whole fleet one worker at a time —
-each replacement is READY before its predecessor starts draining, so
-the port is always served.
+each replacement serves before its predecessor starts draining, so the
+port is always served.
 
 Accounting
 ----------
 
 Every worker's counters are :class:`~repro.core.accounting.ShardedCounter`
 cells *within* its process; across processes the master reconciles by
-summing STATS/DRAINED reports plus the retained totals of retired
+summing the workers' reports plus the retained totals of retired
 workers — ``stats()["requests_served"]`` equals what clients observed,
 whichever worker served them.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import signal
-import socket
-import threading
-import time
+from functools import partial
 
-from repro.ipc.wire import WireError, recv_frame, send_frame
+from repro.core import (
+    Capability,
+    Domain,
+    DomainUnavailableException,
+    Remote,
+    get_accountant,
+)
+from repro.ipc.lrmi import DomainHostProcess, connect
+from repro.ipc.transport import Supervisor
 
 from .httpd import NativeHttpServer, make_listener
 
 #: Fault-injection hook (``repro.testing.chaos``); None in production.
 _chaos = None
 
+#: The name of the worker's one binding.
+WORKER = "worker"
+
 
 class PreforkError(Exception):
-    """Master/worker orchestration failure (startup, drain, control)."""
+    """Master orchestration misuse (scaling or rotating a stopped
+    master)."""
 
 
-def _send_msg(sock, message):
-    try:
-        send_frame(sock, json.dumps(message).encode("utf-8"))
-    except (OSError, WireError) as exc:
-        # A crashed worker's pipe may already be closed (the monitor
-        # closes it when it replaces the worker); callers handle
-        # PreforkError by falling back to the retained last report.
-        raise PreforkError(f"control channel failed: {exc}") from None
+class IWorker(Remote):
+    """A prefork worker's control verbs, called by its master."""
+
+    def stats(self): ...
+    def drain(self, timeout): ...
 
 
-def _recv_msg(sock, timeout=None, scratch=None):
-    """One JSON control message.  ``scratch`` (a per-channel bytearray)
-    lets the frame fill a preallocated buffer instead of allocating one
-    per poll — the master polls every worker's stats on a timer, so the
-    buffers would otherwise churn steadily for the server's lifetime."""
-    if timeout is not None:
-        sock.settimeout(timeout)
-    try:
-        return json.loads(recv_frame(sock, scratch).decode("utf-8"))
-    except socket.timeout:
-        raise PreforkError("control-channel timeout") from None
-    except (OSError, WireError, ValueError) as exc:
-        raise PreforkError(f"control channel failed: {exc}") from None
+class Worker(IWorker):
+    """The worker-side verbs over the app this process serves."""
+
+    def __init__(self, server):
+        self.server = server
+
+    def stats(self):
+        if _chaos is not None:
+            # Chaos crash points: die between receiving a control call
+            # and acting on it (the master must replace the worker and
+            # keep its retained counters consistent).
+            _chaos.crash_point("prefork.worker.message")
+            _chaos.crash_point("prefork.worker.stats")
+        return self._report()
+
+    def drain(self, timeout):
+        if _chaos is not None:
+            _chaos.crash_point("prefork.worker.message")
+        self.server.drain(timeout)
+        final = self._report()
+        self.server.stop()
+        return final
+
+    def _report(self):
+        server = self.server
+        report = {
+            "pid": os.getpid(),
+            "requests_served": server.requests_served,
+            "live_connections": server.live_connections(),
+            "accounts": get_accountant().report(),
+        }
+        if callable(getattr(server, "stats", None)):
+            report["server"] = server.stats()
+        return report
 
 
-class WorkerHandle:
-    """Master-side record of one worker process."""
+def _worker_setup(app_factory, host, port):
+    """The worker's setup, run in the child: serve, then publish."""
+    listener = make_listener(host, port, reuse_port=True)
+    server = app_factory()
+    server.start(listener)
+    domain = Domain("prefork-worker")
+    return {WORKER: Capability.create(Worker(server), domain=domain,
+                                      label=WORKER)}
 
-    __slots__ = ("pid", "control", "generation", "last_stats", "retiring",
-                 "seq", "_pipe_lock", "_scratch")
 
-    def __init__(self, pid, control, generation):
-        self.pid = pid
-        self.control = control
-        self.generation = generation
+class _WorkerProcess(DomainHostProcess):
+    """One worker endpoint, with the master's client and its
+    :class:`IWorker` proxy once started, and the last report it gave."""
+
+    def __init__(self, setup, call_deadline):
+        super().__init__(setup, name="prefork worker")
+        self.call_deadline = call_deadline
+        self.client = self.proxy = None
         self.last_stats = {}
-        self.retiring = False
-        self.seq = 0
-        self._pipe_lock = threading.Lock()
-        # recv buffer for this handle's frames, reused under _pipe_lock.
-        self._scratch = bytearray(65536)
 
-    def request(self, message, timeout):
-        """One sequence-tagged control round trip.
+    def start(self):
+        super().start()
+        self.client = connect(self, call_deadline=self.call_deadline)
+        self.proxy = self.client.lookup(WORKER)
+        return self
 
-        The control pipe is one-reply-per-request; a reply that missed
-        an earlier deadline would otherwise be consumed as the answer to
-        the NEXT request (e.g. a stale STATS acknowledged as DRAINED and
-        the worker killed mid-drain).  Tagging requests and discarding
-        replies with older tags keeps the pipe self-healing, and the
-        per-handle lock keeps concurrent callers (a stats() poll racing
-        a rolling restart) from interleaving reads of one frame stream.
-        """
-        with self._pipe_lock:
-            self.seq += 1
-            message = dict(message, seq=self.seq)
-            _send_msg(self.control, message)
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise PreforkError("control-channel timeout")
-                reply = _recv_msg(self.control, timeout=remaining,
-                                  scratch=self._scratch)
-                if reply.get("seq") == self.seq:
-                    self.control.settimeout(None)
-                    return reply
-                # stale reply from a timed-out earlier request: discard
-
-    def __repr__(self):
-        return f"<WorkerHandle pid={self.pid} gen={self.generation}>"
+    def stop(self):
+        if self.client is not None:
+            self.client.close()
+        super().stop()
 
 
 class PreforkServer:
-    """Master process orchestrating N forked reactor workers.
+    """Master process orchestrating N reactor worker processes.
 
-    ``app_factory`` runs **in each child** after fork and returns the
-    server to run there — a :class:`~repro.web.httpd.NativeHttpServer`,
-    a :class:`~repro.web.jkweb.JKernelWebServer`, or anything exposing
+    ``app_factory`` runs **in each child** and returns the server to run
+    there — a :class:`~repro.web.httpd.NativeHttpServer`, a
+    :class:`~repro.web.jkweb.JKernelWebServer`, or anything exposing
     ``start(listener)`` / ``drain(timeout)`` / ``live_connections()`` /
     ``requests_served`` / ``stop()``.
     """
 
     def __init__(self, app_factory=None, *, host="127.0.0.1", port=0,
-                 workers=2, reuse_port=None, ready_timeout=15.0,
-                 drain_timeout=5.0, max_respawns=8):
+                 workers=2, drain_timeout=5.0, max_respawns=8):
         self.app_factory = app_factory or NativeHttpServer
         self.host = host
         self.port = port
         self.workers = max(1, workers)
-        if reuse_port is None:
-            reuse_port = hasattr(socket, "SO_REUSEPORT")
-        self.reuse_port = reuse_port
-        self.ready_timeout = ready_timeout
         self.drain_timeout = drain_timeout
         self.max_respawns = max_respawns
 
-        self._listener = None
-        self._handles = []
-        self._lock = threading.RLock()
-        self._monitor = None
         self._running = False
-        self._generation = 0
         self._retired_requests = 0
-        self._crash_replacements = 0
+        self._supervisor = Supervisor(
+            self._make_worker, max_respawns=max_respawns,
+            name="prefork-supervisor", on_death=self._fold_last_report)
+        # Guards the fleet (the supervisor's children) and the retained
+        # totals; the supervisor holds it through a whole pass.
+        self._lock = self._supervisor.lock
 
     # -- lifecycle ---------------------------------------------------------
     def start(self):
         if self._running:
             return self
-        listener = make_listener(self.host, self.port,
-                                 reuse_port=self.reuse_port)
-        self.port = listener.getsockname()[1]
-        if self.reuse_port:
-            # Each worker binds its own SO_REUSEPORT listener; the
-            # master's reservation socket must close before workers
-            # serve, or the kernel would hash a share of connections
-            # into a queue nobody accepts from.
-            listener.close()
-        else:
-            self._listener = listener
-        self._running = True
+        # Raises before any fork where SO_REUSEPORT is missing.  The
+        # reservation closes before workers serve, or the kernel would
+        # hash a share of connections into a queue nobody accepts from.
+        reservation = make_listener(self.host, self.port, reuse_port=True)
+        self.port = reservation.getsockname()[1]
+        reservation.close()
+        fleet = self._supervisor.children
         try:
             with self._lock:
                 for _ in range(self.workers):
-                    self._handles.append(self._spawn())
+                    fleet.append(self._supervisor.spawn())
         except BaseException:
-            self._running = False
             self._teardown_workers(graceful=False)
-            if self._listener is not None:
-                self._listener.close()
-                self._listener = None
             raise
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, daemon=True, name="prefork-monitor"
-        )
-        self._monitor.start()
+        self._running = True
+        self._supervisor.start()
         return self
 
     def stop(self):
         if not self._running:
             return
         self._running = False
-        if self._monitor is not None:
-            self._monitor.join(2.0)
-            self._monitor = None
+        self._supervisor.stop()
         self._teardown_workers(graceful=True)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-
-    def __del__(self):  # best-effort: tests forgetting stop() leak no forks
-        try:
-            if self._running:
-                self.stop()
-        except Exception:
-            pass
 
     def __enter__(self):
         return self.start()
@@ -229,171 +210,45 @@ class PreforkServer:
         self.stop()
         return False
 
-    # -- spawning ----------------------------------------------------------
-    def _spawn(self):
-        """Fork one worker; returns its handle once the worker is READY."""
-        parent_side, child_side = socket.socketpair()
-        self._generation += 1
-        generation = self._generation
-        pid = os.fork()
-        if pid == 0:
-            # -- child ----------------------------------------------------
-            parent_side.close()
-            status = 1
-            try:
-                self._worker_main(child_side)
-                status = 0
-            except BaseException:
-                try:
-                    _send_msg(child_side, {"type": "ERROR"})
-                except Exception:
-                    pass
-            finally:
-                os._exit(status)
-        # -- parent -------------------------------------------------------
-        child_side.close()
-        handle = WorkerHandle(pid, parent_side, generation)
+    # -- workers -----------------------------------------------------------
+    def _make_worker(self):
+        return _WorkerProcess(
+            partial(_worker_setup, self.app_factory, self.host, self.port),
+            call_deadline=self.drain_timeout + 5.0)
+
+    def _fold_last_report(self, worker):
+        """A crashed worker's counters: what it last reported."""
+        self._retired_requests += worker.last_stats.get("requests_served", 0)
+
+    def _retire(self, worker, final_report):
+        """Stop a worker that has left the fleet, folding its final
+        counters — ``final_report()``, or its last report when it cannot
+        answer — into the retained totals."""
         try:
-            ready = _recv_msg(parent_side, timeout=self.ready_timeout)
-        except PreforkError:
-            # A wedged child (e.g. a fork-inherited lock) would leak —
-            # and, in reuse-port mode, could later bind the port as an
-            # unsupervised orphan.  Reap it before propagating.
-            self._kill(handle)
-            raise
-        if ready.get("type") != "READY":
-            self._kill(handle)
-            raise PreforkError(
-                f"worker {pid} failed to start: {ready!r}"
-            )
-        parent_side.settimeout(None)
-        return handle
+            final = final_report()
+        except DomainUnavailableException:
+            final = worker.last_stats
+        finally:
+            worker.stop()
+        with self._lock:
+            self._retired_requests += final.get("requests_served", 0)
 
-    def _worker_main(self, control):
-        """Child body: build the app, serve, obey the control pipe."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # Drop the master-side control fds of sibling workers inherited
-        # across fork: a sibling holding a copy would keep another
-        # worker's control channel open after the master dies, defeating
-        # the EOF-means-orphaned teardown below.
-        for handle in self._handles:
-            try:
-                handle.control.close()
-            except OSError:
-                pass
-        self._handles = []
-        if self.reuse_port:
-            listener = make_listener(self.host, self.port, reuse_port=True)
-        else:
-            listener = self._listener
-        server = self.app_factory()
-        server.start(listener)
-        _send_msg(control, {"type": "READY", "pid": os.getpid(),
-                            "port": self.port})
-        scratch = bytearray(65536)
-        while True:
-            try:
-                message = _recv_msg(control, scratch=scratch)
-            except PreforkError:
-                # Master died (EOF on the pipe): orphaned workers must
-                # not linger and keep the port bound.
-                server.stop()
-                return
-            kind = message.get("type")
-            seq = message.get("seq")
-            if _chaos is not None:
-                # Chaos crash points: die between receiving a control
-                # message and acting on it (the master must replace the
-                # worker and keep its retained counters consistent).
-                _chaos.crash_point("prefork.worker.message")
-                if kind in ("STATS", "PING"):
-                    _chaos.crash_point("prefork.worker.stats")
-            if kind in ("STATS", "PING"):
-                _send_msg(control, dict(self._worker_stats(server),
-                                        seq=seq))
-            elif kind == "DRAIN":
-                server.drain(message.get("timeout", 5.0))
-                final = self._worker_stats(server)
-                final.update(type="DRAINED", seq=seq)
-                server.stop()
-                _send_msg(control, final)
-                return
-            elif kind == "STOP":
-                final = self._worker_stats(server)
-                final.update(type="STOPPED", seq=seq)
-                server.stop()
-                _send_msg(control, final)
-                return
-
-    @staticmethod
-    def _worker_stats(server):
-        stats = {
-            "type": "STATS",
-            "pid": os.getpid(),
-            "requests_served": server.requests_served,
-            "live_connections": server.live_connections(),
-        }
-        richer = getattr(server, "stats", None)
-        if callable(richer):
-            try:
-                stats["server"] = richer()
-            except Exception:
-                pass
-        try:
-            from repro.core import get_accountant
-
-            stats["accounts"] = get_accountant().report()
-        except Exception:
-            pass
-        return stats
-
-    # -- supervision -------------------------------------------------------
-    def _monitor_loop(self):
-        while self._running:
-            time.sleep(0.05)
-            with self._lock:
-                for handle in list(self._handles):
-                    if handle.retiring or handle not in self._handles:
-                        continue
-                    if not self._dead(handle):
-                        continue
-                    # Crashed: retain what it last reported, replace it.
-                    self._retired_requests += handle.last_stats.get(
-                        "requests_served", 0
-                    )
-                    try:
-                        handle.control.close()
-                    except OSError:
-                        pass
-                    if (not self._running
-                            or self._crash_replacements >= self.max_respawns):
-                        self._handles.remove(handle)
-                        continue
-                    try:
-                        replacement = self._spawn()
-                    except PreforkError:
-                        self._handles.remove(handle)
-                        continue
-                    # Re-derive the slot NOW: earlier removals in this
-                    # same pass shift positions, and a stale snapshot
-                    # index would overwrite a live sibling's handle.
-                    self._handles[self._handles.index(handle)] = replacement
-                    self._crash_replacements += 1
-
-    @staticmethod
-    def _dead(handle):
-        try:
-            pid, _status = os.waitpid(handle.pid, os.WNOHANG)
-        except ChildProcessError:
-            return True
-        return pid == handle.pid
+    def _teardown_workers(self, graceful):
+        with self._lock:
+            workers = list(self._supervisor.children)
+            self._supervisor.children.clear()
+        for worker in workers:
+            if graceful:
+                self._retire(worker, worker.proxy.stats)
+            else:
+                worker.stop()
 
     # -- autoscaling -------------------------------------------------------
     def scale_to(self, target):
         """Resize the fleet to ``target`` workers.
 
-        Scale-up forks through the READY-gated :meth:`_spawn` path;
-        scale-down reuses the rolling-restart drain machinery
+        Scale-up spawns through the supervisor, so a new worker serves
+        before it joins; scale-down reuses the rolling-restart drain
         (:meth:`_retire`), so in-flight requests on departing workers
         finish and their counters fold into the retained totals.
         Returns the actual worker count afterwards.
@@ -401,29 +256,23 @@ class PreforkServer:
         if not self._running:
             raise PreforkError("prefork server is not running")
         target = max(1, int(target))
+        fleet = self._supervisor.children
         while True:
             with self._lock:
-                current = len(self._handles)
+                current = len(fleet)
                 if current < target:
-                    self._handles.append(self._spawn())
+                    fleet.append(self._supervisor.spawn())
                     continue
-                if current > target:
-                    # Retire the newest non-retiring worker.
-                    victim = next(
-                        (handle for handle in reversed(self._handles)
-                         if not handle.retiring), None)
-                    if victim is None:
-                        return current
-                    victim.retiring = True
-                    self._handles.remove(victim)
-                else:
+                if current == target:
                     self.workers = current
                     return current
-            self._retire(victim)
+                victim = fleet.pop()  # the newest worker
+            self._retire(victim, partial(victim.proxy.drain,
+                                         self.drain_timeout))
 
     def autoscale(self, policy=None):
         """Start a :class:`repro.web.control.Autoscaler` driving
-        :meth:`scale_to` from this master's shed-rate and p99 signals.
+        :meth:`scale_to` from this master's shed-rate and p99 readings.
         Returns the (already started) autoscaler; stop it with its
         ``stop()`` before stopping the server."""
         from .control import Autoscaler, AutoscalePolicy
@@ -435,104 +284,50 @@ class PreforkServer:
     # -- rolling restart ---------------------------------------------------
     def rolling_restart(self):
         """Hot-swap every worker, one at a time, without dropping the
-        port: fork the replacement, wait until it is READY (and, in
-        reuse-port mode, bound), then drain and retire the old worker.
+        port: spawn the replacement (serving once spawned), then drain
+        and retire the old worker.
         """
         if not self._running:
             raise PreforkError("prefork server is not running")
+        fleet = self._supervisor.children
         with self._lock:
-            old_handles = list(self._handles)
-        for old in old_handles:
+            old_workers = list(fleet)
+        for old in old_workers:
             with self._lock:
-                if old not in self._handles:
+                if old not in fleet:
                     continue  # crashed and replaced mid-rotation
-                replacement = self._spawn()
-                old.retiring = True
-                self._handles[self._handles.index(old)] = replacement
-            self._retire(old)
+                fleet[fleet.index(old)] = self._supervisor.spawn()
+            self._retire(old, partial(old.proxy.drain, self.drain_timeout))
         return self
-
-    def _retire(self, handle):
-        """Graceful worker retirement: DRAIN, fold its final counters
-        into the retained totals, reap the process."""
-        try:
-            final = handle.request({"type": "DRAIN",
-                                    "timeout": self.drain_timeout},
-                                   timeout=self.drain_timeout + 5.0)
-            with self._lock:
-                self._retired_requests += final.get("requests_served", 0)
-        except PreforkError:
-            with self._lock:
-                self._retired_requests += handle.last_stats.get(
-                    "requests_served", 0
-                )
-        finally:
-            self._kill(handle)
-
-    def _kill(self, handle, wait=2.0):
-        try:
-            handle.control.close()
-        except OSError:
-            pass
-        deadline = time.monotonic() + wait
-        while time.monotonic() < deadline:
-            try:
-                pid, _status = os.waitpid(handle.pid, os.WNOHANG)
-            except ChildProcessError:
-                return
-            if pid == handle.pid:
-                return
-            time.sleep(0.01)
-        try:
-            os.kill(handle.pid, signal.SIGKILL)
-            os.waitpid(handle.pid, 0)
-        except OSError:
-            pass
-
-    def _teardown_workers(self, graceful):
-        with self._lock:
-            handles, self._handles = self._handles, []
-        for handle in handles:
-            if graceful:
-                try:
-                    final = handle.request({"type": "STOP"}, timeout=5.0)
-                    self._retired_requests += final.get(
-                        "requests_served", 0
-                    )
-                except PreforkError:
-                    self._retired_requests += handle.last_stats.get(
-                        "requests_served", 0
-                    )
-            self._kill(handle)
 
     # -- introspection -----------------------------------------------------
     def worker_pids(self):
         with self._lock:
-            return [handle.pid for handle in self._handles]
+            return [worker.pid for worker in self._supervisor.children]
 
     def stats(self):
         """Cross-process reconciliation: per-worker reports plus retained
         totals of every retired/crashed worker."""
+        fleet = self._supervisor.children
+        with self._lock:
+            workers = list(fleet)
         polled = []
-        with self._lock:
-            handles = list(self._handles)
-        for handle in handles:
+        for worker in workers:
             try:
-                report = handle.request({"type": "STATS"}, timeout=5.0)
-                handle.last_stats = report
-            except PreforkError:
-                report = dict(handle.last_stats)
-                report["stale"] = True
-            polled.append((handle, report))
-        # Sum under the lock, counting only handles STILL in the fleet:
-        # the monitor folds a crashed worker's last_stats into
-        # _retired_requests and swaps the handle out atomically, so a
-        # stale report for a replaced handle would double-count.
+                report = worker.proxy.stats()
+                worker.last_stats = report
+            except DomainUnavailableException:
+                report = dict(worker.last_stats, stale=True)
+            polled.append((worker, report))
+        # Sum under the lock, counting only workers STILL in the fleet:
+        # the supervisor folds a crashed worker's last_stats into
+        # _retired_requests and swaps it out atomically, so a stale
+        # report for a replaced worker would double-count.
         with self._lock:
-            reports = [report for handle, report in polled
-                       if handle in self._handles]
+            reports = [report for worker, report in polled
+                       if worker in fleet]
             retired = self._retired_requests
-            crash_replacements = self._crash_replacements
+            crash_replacements = self._supervisor.respawns
         return {
             "workers": reports,
             "worker_count": len(reports),
@@ -541,6 +336,5 @@ class PreforkServer:
             ),
             "retired_requests": retired,
             "crash_replacements": crash_replacements,
-            "reuse_port": self.reuse_port,
             "port": self.port,
         }

@@ -464,9 +464,8 @@ def _files_containing(needle):
 
 
 class TestTheMechanismsExistOnce:
-    def test_only_the_core_and_prefork_fork(self):
-        assert _files_containing("os.fork(") == [
-            "ipc/transport.py", "web/prefork.py"]
+    def test_only_the_core_forks(self):
+        assert _files_containing("os.fork(") == ["ipc/transport.py"]
 
     def test_only_the_core_probes_with_select(self):
         # web/streaming.py waits for *writability* of a client socket.
@@ -478,8 +477,139 @@ class TestTheMechanismsExistOnce:
 
     def test_users_keep_no_copy_of_their_own(self):
         for name in ("bench/baselines/ntrpc.py", "ipc/lrmi.py",
-                     "fleet/host.py"):
+                     "fleet/host.py", "web/prefork.py", "web/jkweb.py"):
             text = (SRC / name).read_text(encoding="utf-8")
             for mechanism in ("_wait_for_socket", "waitpid", "time.sleep(min",
                               "MSG_PEEK", "os.kill("):
                 assert mechanism not in text, (name, mechanism)
+
+
+# -- the supervisor -----------------------------------------------------------
+
+class _FakeChild:
+    """An endpoint without a process: ``start`` fails when told to,
+    ``dead`` plays a crash."""
+
+    def __init__(self, fail):
+        self.fail = fail
+        self.dead = self.stopped = False
+
+    def start(self):
+        if self.fail:
+            raise DomainUnavailableException("start refused")
+        return self
+
+    def alive(self):
+        return not (self.dead or self.stopped)
+
+    def stop(self):
+        self.stopped = True
+
+
+class _Watch:
+    """A supervisor over fake children; ``failing`` lists, in order,
+    whether each child made from now on fails to start."""
+
+    def __init__(self, failing=(), **kwargs):
+        self.failing = list(failing)
+        self.made = []
+        self.events = []
+        self.supervisor = transport.Supervisor(
+            self._make,
+            on_death=lambda child: self.events.append(("death", child)),
+            on_replace=lambda old, new: self.events.append(
+                ("replace", old, new)),
+            **kwargs)
+
+    def _make(self):
+        child = _FakeChild(self.failing.pop(0) if self.failing else False)
+        self.made.append(child)
+        return child
+
+    def adopt(self, count):
+        children = [self.supervisor.spawn() for _ in range(count)]
+        self.supervisor.children.extend(children)
+        return children
+
+
+class TestSupervisor:
+    def test_death_is_folded_then_respawned_into_its_slot(self):
+        watch = _Watch()
+        first, second = watch.adopt(2)
+        first.dead = True
+        watch.supervisor.check()
+        replacement = watch.made[-1]
+        assert watch.supervisor.children == [replacement, second]
+        assert first.stopped and not second.stopped
+        assert watch.events == [("death", first),
+                                ("replace", first, replacement)]
+        assert watch.supervisor.respawns == 1
+        assert watch.supervisor.spawn_failures == 0
+
+    def test_failed_spawn_is_stopped_and_counted(self):
+        watch = _Watch()
+        (child,) = watch.adopt(1)
+        watch.failing = [True, False]
+        child.dead = True
+        watch.supervisor.check()
+        failed, replacement = watch.made[-2:]
+        assert failed.stopped
+        assert watch.supervisor.children == [replacement]
+        assert watch.supervisor.spawn_failures == 1
+        assert watch.supervisor.respawns == 1
+        assert isinstance(watch.supervisor.last_error,
+                          DomainUnavailableException)
+
+    def test_spent_budget_drops_the_slot(self):
+        watch = _Watch(max_respawns=1)
+        (child,) = watch.adopt(1)
+        child.dead = True
+        watch.supervisor.check()
+        (replacement,) = watch.supervisor.children
+        replacement.dead = True
+        watch.supervisor.check()
+        assert watch.supervisor.children == []
+        assert replacement.stopped
+        assert watch.events[-1] == ("replace", replacement, None)
+        assert watch.supervisor.respawns == 1
+
+    def test_failing_spawns_spend_the_budget(self):
+        watch = _Watch(max_respawns=3)
+        (child,) = watch.adopt(1)
+        watch.failing = [True] * 5
+        child.dead = True
+        watch.supervisor.check()
+        assert watch.supervisor.children == []
+        assert watch.supervisor.spawn_failures == 3
+        assert all(made.stopped for made in watch.made)
+
+    def test_a_failed_first_spawn_leaves_nothing_running(self):
+        watch = _Watch(failing=[True])
+        with pytest.raises(DomainUnavailableException):
+            watch.supervisor.spawn()
+        (child,) = watch.made
+        assert child.stopped
+        assert watch.supervisor.spawn_failures == 0  # not a respawn
+
+    def test_live_children_are_shown_to_on_live(self):
+        live = []
+        watch = _Watch(on_live=live.append)
+        first, second = watch.adopt(2)
+        second.dead = True
+        watch.supervisor.check()
+        assert live == [first]
+
+    def test_the_poll_thread_replaces_a_dead_child(self):
+        watch = _Watch()
+        (child,) = watch.adopt(1)
+        watch.supervisor.start()
+        try:
+            child.dead = True
+            deadline = time.monotonic() + 5.0
+            while (watch.supervisor.respawns == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            watch.supervisor.stop()
+        assert watch.supervisor.respawns == 1
+        assert watch.supervisor.children == [watch.made[-1]]

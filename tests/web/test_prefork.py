@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.ipc.wire import send_frame
+from repro.core import DomainUnavailableException
+from repro.ipc import exported_methods, lrmi, transport
 from repro.web import prefork
 from repro.web import (
     JKernelWebServer,
@@ -23,17 +24,13 @@ from repro.web import (
     PreforkServer,
     Servlet,
     ServletResponse,
-    WorkerHandle,
     fetch_once,
+    make_listener,
     run_mixed_load,
 )
 
 STRESS_CLIENTS = int(os.environ.get("JK_STRESS_CLIENTS", "4"))
 STRESS_ROUNDS = int(os.environ.get("JK_STRESS_ROUNDS", "15"))
-
-HAS_REUSEPORT = hasattr(socket, "SO_REUSEPORT")
-
-MODES = [False] + ([True] if HAS_REUSEPORT else [])
 
 
 def _doc_app():
@@ -66,11 +63,9 @@ def _wait(predicate, timeout=8.0, poll=0.05):
     return predicate()
 
 
-@pytest.mark.parametrize("reuse_port", MODES)
 class TestPreforkServing:
-    def test_serves_documents_across_workers(self, reuse_port):
-        with PreforkServer(_doc_app, workers=2,
-                           reuse_port=reuse_port) as master:
+    def test_serves_documents_across_workers(self):
+        with PreforkServer(_doc_app, workers=2) as master:
             for _ in range(20):
                 response = fetch_once("127.0.0.1", master.port, "/doc")
                 assert response.status == 200
@@ -80,9 +75,8 @@ class TestPreforkServing:
             assert stats["requests_served"] == 20
             assert len(set(master.worker_pids())) == 2
 
-    def test_jkernel_app_runs_per_worker_domains(self, reuse_port):
-        with PreforkServer(_jk_app, workers=2,
-                           reuse_port=reuse_port) as master:
+    def test_jkernel_app_runs_per_worker_domains(self):
+        with PreforkServer(_jk_app, workers=2) as master:
             pids = set()
             for _ in range(20):
                 response = fetch_once(
@@ -94,11 +88,10 @@ class TestPreforkServing:
             assert pids <= worker_pids
             assert os.getpid() not in pids  # served out of this process
 
-    def test_stats_reconcile_with_client_counts(self, reuse_port):
+    def test_stats_reconcile_with_client_counts(self):
         """Sharded per-process counters reconcile across the fleet: the
         master's merged total equals what the clients observed."""
-        with PreforkServer(_doc_app, workers=2,
-                           reuse_port=reuse_port) as master:
+        with PreforkServer(_doc_app, workers=2) as master:
             report = run_mixed_load(
                 "127.0.0.1", master.port, script=["/doc"],
                 clients=STRESS_CLIENTS, rounds=STRESS_ROUNDS,
@@ -112,11 +105,9 @@ class TestPreforkServing:
             assert master.stats()["requests_served"] == expected
 
 
-@pytest.mark.parametrize("reuse_port", MODES)
 class TestRollingRestart:
-    def test_rolling_restart_replaces_every_worker(self, reuse_port):
-        with PreforkServer(_doc_app, workers=2,
-                           reuse_port=reuse_port) as master:
+    def test_rolling_restart_replaces_every_worker(self):
+        with PreforkServer(_doc_app, workers=2) as master:
             before = set(master.worker_pids())
             for _ in range(5):
                 assert fetch_once("127.0.0.1", master.port,
@@ -130,12 +121,11 @@ class TestRollingRestart:
             # counters from drained workers were folded into the total
             assert master.stats()["requests_served"] == 10
 
-    def test_rolling_restart_under_load_drops_nothing(self, reuse_port):
+    def test_rolling_restart_under_load_drops_nothing(self):
         """Hot-swap the whole fleet while clients hammer it: every
         request is answered (drain covers in-flight ones; the
         replacement is READY before its predecessor retires)."""
-        with PreforkServer(_doc_app, workers=2,
-                           reuse_port=reuse_port) as master:
+        with PreforkServer(_doc_app, workers=2) as master:
             import threading
 
             errors = []
@@ -303,6 +293,60 @@ class TestOutOfProcessServlet:
             response = fetch_once("127.0.0.1", jk.port, "/servlet/pid")
             assert response.status == 404  # unrouted, host torn down
 
+    @pytest.fixture()
+    def refused_lookups(self, monkeypatch):
+        """From now on a host's ``servlet`` binding cannot be looked up;
+        returns the list of every host started from then on."""
+        started = []
+        start, lookup = lrmi.DomainHostProcess.start, lrmi.DomainClient.lookup
+
+        def recording_start(host):
+            started.append(host)
+            return start(host)
+
+        def refusing_lookup(client, name):
+            if name == "servlet":
+                raise DomainUnavailableException("lookup refused")
+            return lookup(client, name)
+
+        def arm():
+            monkeypatch.setattr(lrmi.DomainHostProcess, "start",
+                                recording_start)
+            monkeypatch.setattr(lrmi.DomainClient, "lookup",
+                                refusing_lookup)
+            return started
+
+        return arm
+
+    def test_failed_respawns_leave_no_host_behind(self, refused_lookups):
+        """Each replacement whose lookup fails is stopped, and so is the
+        dead host once the budget is spent: no process and no socket
+        file outlives the slot."""
+        with JKernelWebServer(workers=1) as jk:
+            registration = jk.install_servlet_out_of_process(
+                "/pid", self._pid_servlet, max_respawns=2)
+            original = registration.host
+            started = refused_lookups()
+            os.kill(original.pid, signal.SIGKILL)
+            assert _wait(lambda: registration.host is None)
+            assert len(started) == 2
+            for host in (original, *started):
+                assert not host.alive()
+                assert not os.path.exists(host.path)
+            response = fetch_once("127.0.0.1", jk.port, "/servlet/pid")
+            assert response.status == 503
+
+    def test_failed_install_leaves_no_host_behind(self, refused_lookups):
+        started = refused_lookups()
+        with JKernelWebServer(workers=1) as jk:
+            with pytest.raises(DomainUnavailableException,
+                               match="lookup refused"):
+                jk.install_servlet_out_of_process("/pid", self._pid_servlet)
+            assert "/pid" not in jk.registrations()
+        (host,) = started
+        assert not host.alive()
+        assert not os.path.exists(host.path)
+
 
 class TestMasterLifecycle:
     def test_stop_reaps_every_worker(self):
@@ -365,20 +409,10 @@ class TestScaling:
 
 
 class TestListenerStrategy:
-    def test_without_so_reuseport_workers_share_the_inherited_listener(
-            self, monkeypatch):
-        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
-        with PreforkServer(_doc_app, workers=2) as master:
-            assert master.reuse_port is False
-            assert master.stats()["reuse_port"] is False
-            for _ in range(4):
-                assert fetch_once("127.0.0.1", master.port,
-                                  "/doc").body == b"prefork-doc"
-
     def test_reuse_port_demanded_where_refused_fails_before_any_fork(
             self, monkeypatch):
         monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
-        master = PreforkServer(_doc_app, workers=2, reuse_port=True)
+        master = PreforkServer(_doc_app, workers=2)
         with pytest.raises(OSError, match="SO_REUSEPORT"):
             master.start()
         assert master.worker_pids() == []
@@ -386,7 +420,7 @@ class TestListenerStrategy:
 
 
 class _ObservedMaster(PreforkServer):
-    """Signals each respawn attempt the monitor makes, and can be told
+    """Signals each respawn attempt the supervisor makes, and can be told
     to make them fail — crash replacement without guessing at timing."""
 
     def __init__(self, *args, **kwargs):
@@ -394,13 +428,13 @@ class _ObservedMaster(PreforkServer):
         self.respawn_attempted = threading.Event()
         self.fail_respawns = False
 
-    def _spawn(self):
-        if len(self._handles) < self.workers:
-            return super()._spawn()  # the initial fleet
+    def _make_worker(self):
+        if len(self._supervisor.children) < self.workers:
+            return super()._make_worker()  # the initial fleet
         try:
             if self.fail_respawns:
                 raise PreforkError("respawn refused")
-            return super()._spawn()
+            return super()._make_worker()
         finally:
             self.respawn_attempted.set()
 
@@ -412,10 +446,13 @@ class TestRespawnLimits:
             master.fail_respawns = True
             os.kill(victim, signal.SIGKILL)
             assert master.respawn_attempted.wait(10.0)
-            # worker_pids() takes the monitor's lock, so it returns only
-            # after the pass that made the attempt has finished.
+            # worker_pids() takes the supervisor's lock, so it returns
+            # only after the pass that made the attempts has finished:
+            # each failed, spent the budget, and the slot was dropped.
             assert master.worker_pids() == [survivor]
-            assert master.stats()["crash_replacements"] == 0
+            stats = master.stats()
+            assert stats["crash_replacements"] == 0
+            assert master._supervisor.spawn_failures == master.max_respawns
             assert fetch_once("127.0.0.1", master.port,
                               "/doc").status == 200
 
@@ -434,140 +471,92 @@ class TestRespawnLimits:
 
     def test_wedged_child_is_reaped_when_ready_never_comes(
             self, monkeypatch):
-        """A child that never reports READY must not outlive the start()
-        that gave up on it (in reuse-port mode it could later bind the
-        port as an unsupervised orphan)."""
-        master = PreforkServer(lambda: threading.Event().wait(),
-                               workers=1, ready_timeout=0.3)
+        """A child whose setup never finishes must not outlive the
+        start() that gave up on it (it could later bind the port as an
+        unsupervised orphan)."""
+        monkeypatch.setattr(transport, "STARTUP_TIMEOUT_S", 0.3)
         reaped = []
-        kill = master._kill
-        monkeypatch.setattr(
-            master, "_kill",
-            lambda handle: (reaped.append(handle.pid), kill(handle)))
-        with pytest.raises(PreforkError, match="timeout"):
+        stop = transport.EndpointProcess.stop
+
+        def recording_stop(endpoint):
+            reaped.append(endpoint._spawned_pid)
+            stop(endpoint)
+
+        monkeypatch.setattr(transport.EndpointProcess, "stop",
+                            recording_stop)
+        master = PreforkServer(lambda: threading.Event().wait(),
+                               workers=1)
+        with pytest.raises(DomainUnavailableException,
+                           match="did not appear"):
             master.start()
         assert master.worker_pids() == []
-        (pid,) = reaped
+        (pid,) = {pid for pid in reaped if pid is not None}
         with pytest.raises(OSError):
             os.kill(pid, 0)  # gone, not orphaned
 
 
-class TestControlPipeFraming:
-    """The master's half of the control pipe against a peer that
-    misbehaves — no worker process involved."""
-
-    @pytest.fixture()
-    def pipe(self):
-        master_side, worker_side = socket.socketpair()
-        yield WorkerHandle(os.getpid(), master_side, 1), worker_side
-        master_side.close()
-        worker_side.close()
-
-    def test_reply_to_an_earlier_request_is_discarded(self, pipe):
-        """A STATS reply that missed its deadline must not be read as
-        the answer to the DRAIN that follows it."""
-        handle, worker_side = pipe
-        prefork._send_msg(worker_side, {"type": "STATS", "seq": 0})
-        prefork._send_msg(worker_side, {"type": "DRAINED", "seq": 1})
-        reply = handle.request({"type": "DRAIN"}, timeout=5.0)
-        assert reply["type"] == "DRAINED"
-        assert handle.control.gettimeout() is None  # restored for reuse
-
-    def test_frame_that_is_not_json_is_a_control_failure(self, pipe):
-        handle, worker_side = pipe
-        send_frame(worker_side, b"\xff not json")
-        with pytest.raises(PreforkError, match="control channel failed"):
-            handle.request({"type": "STATS"}, timeout=5.0)
-
-    def test_peer_that_hung_up_is_a_control_failure(self, pipe):
-        handle, worker_side = pipe
-        worker_side.close()
-        with pytest.raises(PreforkError, match="control channel failed"):
-            handle.request({"type": "DRAIN"}, timeout=5.0)
-
-    def test_silent_peer_times_out(self, pipe):
-        handle, _worker_side = pipe
-        with pytest.raises(PreforkError, match="timeout"):
-            handle.request({"type": "STATS"}, timeout=0.05)
-
-    def test_only_stale_replies_still_time_out(self, pipe):
-        handle, worker_side = pipe
-        prefork._send_msg(worker_side, {"type": "STATS", "seq": 99})
-        with pytest.raises(PreforkError, match="timeout"):
-            handle.request({"type": "STATS"}, timeout=0.05)
-
-
 class TestWorkerBodyInProcess:
-    """``_worker_main`` — the forked child's body — served by a thread of
-    THIS process over a socketpair: a tracer cannot see into a fork, and
-    the STATS / DRAIN / STOP / orphan paths live entirely in the child."""
+    """The worker's setup and its :class:`IWorker` verbs, run in THIS
+    process: a tracer cannot see into a fork, and both run only in the
+    child."""
 
     @pytest.fixture()
-    def worker(self, monkeypatch):
-        # signal.signal only works on the main thread; the child ignores
-        # SIGINT there, which is not what this harness is about.
-        monkeypatch.setattr(prefork.signal, "signal", lambda *args: None)
+    def worker(self):
+        reservation = make_listener("127.0.0.1", 0, reuse_port=True)
+        port = reservation.getsockname()[1]
+        reservation.close()
         servers = []
 
         def app():
             servers.append(_doc_app())
             return servers[-1]
 
-        master_side, worker_side = socket.socketpair()
-        master = PreforkServer(app, workers=1, reuse_port=HAS_REUSEPORT)
-        if not HAS_REUSEPORT:
-            master._listener = prefork.make_listener("127.0.0.1", 0)
-        thread = threading.Thread(target=master._worker_main,
-                                  args=(worker_side,), daemon=True)
-        thread.start()
-        ready = prefork._recv_msg(master_side, timeout=10.0)
-        master_side.settimeout(None)
-        handle = WorkerHandle(ready["pid"], master_side, 1)
-        yield handle, thread, servers[0], ready
-        master_side.close()  # EOF: an orphaned worker stops itself
-        thread.join(10.0)
-        worker_side.close()
-        assert not thread.is_alive()
+        bindings = prefork._worker_setup(app, "127.0.0.1", port)
+        assert list(bindings) == [prefork.WORKER]
+        capability = bindings[prefork.WORKER]
+        yield capability, servers[0]
+        servers[0].stop()
+        capability.creator.terminate()
 
     def test_ready_then_stats_count_what_was_served(self, worker):
-        handle, _thread, server, ready = worker
-        assert ready["type"] == "READY" and ready["pid"] == os.getpid()
-        first = handle.request({"type": "STATS"}, timeout=5.0)
-        assert first["type"] == "STATS"
+        capability, server = worker
+        first = capability.stats()
+        assert first["pid"] == os.getpid()
         assert first["requests_served"] == 0
+        # setup returned, so the worker already serves
         assert fetch_once("127.0.0.1", server.port,
                           "/doc").body == b"prefork-doc"
-        second = handle.request({"type": "PING"}, timeout=5.0)
+        second = capability.stats()
         assert second["requests_served"] == 1
         assert second["server"]["requests_served"] == 1
         assert "accounts" in second
 
-    def test_unknown_message_is_ignored_not_fatal(self, worker):
-        handle, thread, _server, _ready = worker
-        prefork._send_msg(handle.control, {"type": "BOGUS"})
-        assert handle.request({"type": "STATS"},
-                              timeout=5.0)["type"] == "STATS"
-        assert thread.is_alive()
-
-    @pytest.mark.parametrize("verb, answer", [("DRAIN", "DRAINED"),
-                                              ("STOP", "STOPPED")])
-    def test_retirement_reports_final_counters_then_returns(
-            self, worker, verb, answer):
-        handle, thread, server, _ready = worker
+    def test_drain_reports_final_counters_then_stops_serving(self, worker):
+        capability, server = worker
         assert fetch_once("127.0.0.1", server.port, "/doc").status == 200
-        final = handle.request({"type": verb, "timeout": 1.0},
-                               timeout=10.0)
-        assert final["type"] == answer
+        final = capability.drain(1.0)
         assert final["requests_served"] == 1
-        thread.join(10.0)
-        assert not thread.is_alive()
+        assert final["live_connections"] == 0
         with pytest.raises(OSError):
             fetch_once("127.0.0.1", server.port, "/doc")  # it stopped
 
-    def test_master_hangup_stops_the_orphan(self, worker):
-        handle, thread, server, _ready = worker
-        handle.control.close()
-        thread.join(10.0)
-        assert not thread.is_alive()
-        with pytest.raises(OSError):
-            fetch_once("127.0.0.1", server.port, "/doc")
+    def test_the_control_surface_is_the_remote_interface(self, worker):
+        capability, _server = worker
+        assert set(exported_methods(capability)) == {"stats", "drain"}
+
+    def test_chaos_points_fire_inside_the_verbs(self, worker,
+                                                 monkeypatch):
+        capability, _server = worker
+        hits = []
+
+        class Recorder:
+            @staticmethod
+            def crash_point(name):
+                hits.append(name)
+
+        monkeypatch.setattr(prefork, "_chaos", Recorder)
+        capability.stats()
+        assert hits == ["prefork.worker.message", "prefork.worker.stats"]
+        hits.clear()
+        capability.drain(0.1)
+        assert hits == ["prefork.worker.message"]
