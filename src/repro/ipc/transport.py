@@ -208,6 +208,10 @@ class EndpointProcess:
     def _child(self, parent_pid):
         status = 0
         try:
+            # The parent decides when a child ends: a terminal's Ctrl-C
+            # reaches the whole process group, and would otherwise kill
+            # every child while its supervisor still runs.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
             threading.Thread(target=_exit_when_orphaned, args=(parent_pid,),
                              daemon=True, name="orphan-watchdog").start()
             self._serve()

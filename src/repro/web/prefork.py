@@ -336,5 +336,6 @@ class PreforkServer:
             ),
             "retired_requests": retired,
             "crash_replacements": crash_replacements,
+            "reuse_port": True,  # every worker binds its own listener
             "port": self.port,
         }

@@ -12,6 +12,7 @@ stays in ``test_ntrpc.py`` / ``test_client_hardening.py``.
 import os
 import pathlib
 import re
+import signal
 import socket
 import tempfile
 import threading
@@ -339,6 +340,14 @@ class TestEndpoint:
         assert not os.path.exists(endpoint.path)
         assert endpoint.pid is None and not endpoint.alive()
         endpoint.stop()  # idempotent
+
+    def test_child_outlives_a_sigint(self, endpoint):
+        """A terminal's Ctrl-C reaches the whole process group; ending a
+        child is its parent's decision."""
+        with endpoint:
+            os.kill(endpoint.pid, signal.SIGINT)
+            time.sleep(0.2)
+            assert endpoint.alive() and _connectable(endpoint.path)
 
     def test_context_manager_starts_and_stops(self, endpoint):
         with endpoint as started:
