@@ -282,6 +282,8 @@ class QuotaManager:
     teardown.  It runs on a dedicated reaper thread, never on the
     charging (request) thread: the charger may be *inside* the domain
     being killed, and terminate would stop its own segment mid-charge.
+    A kill that raises is counted in :attr:`kill_failures` (its error
+    kept in :attr:`last_kill_error`).
     """
 
     def __init__(self):
@@ -289,6 +291,8 @@ class QuotaManager:
         self._cells = {}
         self._kills = {}
         self.kills_fired = 0
+        self.kill_failures = 0
+        self.last_kill_error = None
 
     def set_quota(self, key, spec, account=None, on_kill=None):
         with self._lock:
@@ -359,12 +363,13 @@ class QuotaManager:
             name=f"quota-kill-{cell.key}", daemon=True,
         ).start()
 
-    @staticmethod
-    def _run_kill(on_kill, cell):
+    def _run_kill(self, on_kill, cell):
         try:
             on_kill(cell.key, cell)
-        except Exception:
-            pass  # the kill path must never take the manager down
+        except Exception as exc:  # must not take the manager down
+            with self._lock:
+                self.kill_failures += 1
+                self.last_kill_error = exc
 
     def throttled_keys(self):
         """Tenants currently soft-throttled or hard-killed (the admission

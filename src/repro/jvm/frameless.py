@@ -61,11 +61,22 @@ when the generic tier would run it.  Because a resumed return checks
 too, a thread never finishes inside the overshoot; a fault inside it is
 delivered, where the generic tier would have stopped the step first.
 
+A step is one quantum, except a *lone slice*: a thread alone in the
+scheduler, run to the end of its call, gets the call's whole remaining
+budget (see :class:`~repro.jvm.threads.Scheduler`), so a loop is not
+spilled and resumed every quantum for nobody's sake.  A lone slice also
+ends where another thread is spawned: the spawn marks the stepping
+thread ``yielded``, and the native's invoke site, which already checks
+that flag, spills past the call as after ``Thread.yield``.  The same
+checks bound both kinds of step.
+
 GC invariant: a collection runs only from the host, between scheduler
 steps, and between steps every guest reference is in a frame.  Guest
 references held in a function's Python locals therefore need no
 rooting.  If a collection could ever run inside a step (from a native,
-say), they would have to be rooted.
+say), they would have to be rooted.  A lone slice reaches "between
+steps" only at its end, so a trigger that must collect sooner has to
+end the slice, as a spawn does.
 """
 
 from __future__ import annotations

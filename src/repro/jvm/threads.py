@@ -85,6 +85,7 @@ class ThreadContext:
         "segments",
         "segment_pool",
         "yielded",
+        "in_native",
     )
 
     def __init__(self, name, domain_tag="<system>"):
@@ -107,6 +108,9 @@ class ThreadContext:
         self.segments = []  # used by repro.jkvm thread segments
         self.segment_pool = []  # retired _VMSegments kept for reuse
         self.yielded = False
+        # inside a native that runs the scheduler: its step is on the
+        # host stack, so the nested run must not step it
+        self.in_native = False
 
     @property
     def alive(self):
@@ -114,7 +118,8 @@ class ThreadContext:
 
     @property
     def schedulable(self):
-        return self.state == RUNNABLE and not self.suspended
+        return (self.state == RUNNABLE and not self.suspended
+                and not self.in_native)
 
     def __repr__(self):
         return f"<ThreadContext #{self.tid} {self.name!r} {self.state}>"
@@ -126,6 +131,18 @@ class Scheduler:
     ``threads`` and ``_by_tid`` hold live threads only: ``run`` reaps a
     thread right after the step that ends it.  A finished thread's result
     is no GC root, so a host that holds it must pin it in ``vm.pinned``.
+
+    A step lasts one ``quantum``, except a *lone slice*: when
+    :meth:`run_thread` picks the only live thread, which is the one it
+    waits for, no other thread could use a quantum's end, so the step
+    gets the whole remaining budget.  It ends where another thread can
+    run: a :meth:`spawn` made during it (a guest ``Thread.start``, or a
+    native's nested ``call_static``) marks the stepping thread
+    ``yielded``, so the native's call site pauses it as ``Thread.yield``
+    does, but without moving it behind other threads.  A nested run
+    (a native's ``call_static``) never steps the outer thread, whose step
+    is still on the host stack, and gives that step back its current
+    thread and its lone slice when it returns.
     """
 
     def __init__(self, vm, quantum=64, thread_lookup="cached"):
@@ -137,6 +154,8 @@ class Scheduler:
         self._current = None
         self._by_tid = {}
         self.context_switches = 0
+        self._stepping = None  # the thread inside interpreter.step
+        self._lone = False  # ... and it runs a lone slice
 
     # -- thread management ---------------------------------------------------
     def spawn(self, rtclass, method, args, name=None, domain_tag="<system>",
@@ -150,6 +169,10 @@ class Scheduler:
         thread.state = RUNNABLE
         self.threads.append(thread)
         self._by_tid[thread.tid] = thread
+        if self._lone:
+            # another thread can run now: end the lone slice at the
+            # native's call site
+            self._stepping.yielded = True
         return thread
 
     def current_thread(self):
@@ -218,38 +241,60 @@ class Scheduler:
 
     def run(self, max_steps=10_000_000, until=None):
         """Run until no live threads remain, ``until()`` is true, or the
-        step budget is exhausted (:class:`OutOfStepsError`)."""
+        step budget is exhausted (:class:`OutOfStepsError`).  ``until``
+        is asked between steps, so it stops the run within a quantum."""
+        self._run(max_steps, until, False)
+
+    def _run(self, max_steps, until, lone):
+        """:meth:`run`; with ``lone``, ``until`` waits only for the end
+        of one thread, which runs lone slices while it is alone."""
         interpreter = self.vm.interpreter
+        threads = self.threads
         steps_left = max_steps
-        while True:
-            if until is not None and until():
-                return
-            self._wake_sleepers()
-            thread = self._pick()
-            if thread is None:
-                if self._advance_to_next_wake():
-                    continue
-                live = self.threads
-                if not live:
+        # set when a native runs the scheduler: the step it runs inside
+        outer, outer_lone, outer_current = (
+            self._stepping, self._lone, self._current)
+        if outer is not None:
+            outer.in_native = True
+        try:
+            while True:
+                if until is not None and until():
                     return
-                if any(t.suspended and t.state == RUNNABLE for t in live):
-                    # Suspended threads may be resumed by the embedder.
-                    return
-                raise DeadlockError(
-                    "all live threads are blocked: "
-                    + ", ".join(repr(t) for t in live)
-                )
-            if steps_left <= 0:
-                raise OutOfStepsError(f"exceeded {max_steps} steps")
-            if thread is not self._current:
-                self.context_switches += 1
-            self._current = thread
-            thread.last_scheduled = self.tick
-            executed = interpreter.step(thread, min(self.quantum, steps_left))
-            self.tick += executed
-            steps_left -= max(executed, 1)
-            if thread.state == TERMINATED:
-                self._reap(thread)
+                self._wake_sleepers()
+                thread = self._pick()
+                if thread is None:
+                    if self._advance_to_next_wake():
+                        continue
+                    if not threads:
+                        return
+                    if any(t.suspended and t.state == RUNNABLE
+                           for t in threads):
+                        # Suspended threads may be resumed by the embedder.
+                        return
+                    raise DeadlockError(
+                        "all live threads are blocked: "
+                        + ", ".join(repr(t) for t in threads)
+                    )
+                if steps_left <= 0:
+                    raise OutOfStepsError(f"exceeded {max_steps} steps")
+                if thread is not self._current:
+                    self.context_switches += 1
+                self._current = thread
+                thread.last_scheduled = self.tick
+                self._stepping = thread
+                self._lone = lone and len(threads) == 1
+                executed = interpreter.step(
+                    thread, steps_left if self._lone
+                    else min(self.quantum, steps_left))
+                self.tick += executed
+                steps_left -= max(executed, 1)
+                if thread.state == TERMINATED:
+                    self._reap(thread)
+        finally:
+            self._stepping, self._lone = outer, outer_lone
+            if outer is not None:
+                outer.in_native = False
+                self._current = outer_current
 
     def _reap(self, thread):
         self.threads.remove(thread)
@@ -275,8 +320,7 @@ class Scheduler:
         from .errors import JThrowable
 
         try:
-            self.run(max_steps=max_steps,
-                     until=lambda: thread.state == TERMINATED)
+            self._run(max_steps, lambda: thread.state == TERMINATED, True)
             if thread.state != TERMINATED:
                 raise OutOfStepsError(
                     f"{thread!r} did not finish within {max_steps} steps"

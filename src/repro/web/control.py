@@ -349,7 +349,9 @@ class Autoscaler:
 
     Shed-rate is computed over the *window between ticks* (diffing
     cumulative counters), so one historical burst cannot pin the fleet
-    at max forever.
+    at max forever.  A background tick that raises (a flaky stats poll,
+    a worker mid-restart) is counted in :attr:`tick_failures`, its error
+    kept in :attr:`last_error`, and the loop goes on.
     """
 
     def __init__(self, prefork, policy=None):
@@ -363,6 +365,8 @@ class Autoscaler:
         self._last_sheds = 0
         self._last_total = 0
         self.decisions = []  # (monotonic, action, workers, reason)
+        self.tick_failures = 0
+        self.last_error = None
 
     # -- lifecycle ---------------------------------------------------------
     def start(self):
@@ -385,10 +389,9 @@ class Autoscaler:
         while not self._stop.wait(self.policy.interval_s):
             try:
                 self.tick()
-            except Exception:
-                # A flaky stats poll (worker mid-restart) must not kill
-                # the scaling loop.
-                pass
+            except Exception as exc:
+                self.tick_failures += 1
+                self.last_error = exc
 
     # -- one evaluation ----------------------------------------------------
     def tick(self, stats=None):

@@ -186,6 +186,21 @@ class TestQuotaManager:
         assert fired.wait(2.0)
         assert manager.admit("t", now) == HARD  # still functional
 
+    def test_a_failed_kill_is_counted(self):
+        manager = QuotaManager()
+        error = RuntimeError("teardown failed")
+
+        def on_kill(key, cell):
+            raise error
+
+        manager.set_quota("t", QuotaSpec(cpu_ticks=10), on_kill=on_kill)
+        manager.charge_cpu("t", 10)
+        deadline = time.monotonic() + 2.0
+        while not manager.kill_failures and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert (manager.kills_fired, manager.kill_failures) == (1, 1)
+        assert manager.last_kill_error is error
+
     def test_throttled_keys_lists_soft_and_hard(self):
         manager = QuotaManager()
         manager.set_quota("soft", QuotaSpec(cpu_ticks=100))

@@ -21,6 +21,7 @@ The attack angles:
 """
 
 import dataclasses
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,37 @@ class TestFuzzedEquivalence:
 
 def _both_vms():
     return fresh_vm(), fresh_vm(threaded_code=False)
+
+
+def _counting_resumes(vm):
+    """The pcs past 0 at which ``vm``'s fast tier resumes a frame from
+    now on (the generic tier resumes none)."""
+    resume = vm.interpreter._resume
+    pcs = []
+
+    def counting(machine, thread, frame, cap):
+        if frame.pc:
+            pcs.append(frame.pc)
+        return resume(machine, thread, frame, cap)
+    vm.interpreter._resume = counting
+    return pcs
+
+
+@contextmanager
+def _beside_a_parked_thread(vm):
+    """Keep a second live thread, suspended, beside the block's calls: a
+    thread alone runs its whole budget in one step, a thread with
+    company one quantum a step, resumed from its frame between them."""
+    scheduler = vm.scheduler
+    parked = scheduler.spawn(
+        vm.object_class, vm.object_class.declared[("<init>", "()V")],
+        [None], name="parked")
+    parked.suspended = True
+    try:
+        yield
+    finally:
+        parked.suspended = False
+        scheduler.run()
 
 
 def _run_static(vm, classfiles, class_name, method, desc, args):
@@ -235,8 +267,8 @@ class TestFusionEdgeCases:
 
     def test_loop_retires_same_tick_count(self):
         """A counted loop, run inside one function and resumed from its
-        frame after every quantum, retires identical totals under both
-        tiers."""
+        frame after every quantum (a parked thread keeps it from running
+        alone), retires identical totals under both tiers."""
         def classfiles():
             def build(ca):
                 with ca.method("loop", "(I)I", PUBLIC_STATIC) as m:
@@ -257,11 +289,14 @@ class TestFusionEdgeCases:
         retireds = []
         for vm in _both_vms():
             loader = load_classes(vm, classfiles())
-            before = vm.interpreter.instructions_retired
-            result = vm.call_static(loader.loaded("eq/Probe"), "loop",
-                                    "(I)I", [500])
-            retireds.append(vm.interpreter.instructions_retired - before)
+            resumed = _counting_resumes(vm)
+            with _beside_a_parked_thread(vm):
+                before = vm.interpreter.instructions_retired
+                result = vm.call_static(loader.loaded("eq/Probe"), "loop",
+                                        "(I)I", [500])
+                retireds.append(vm.interpreter.instructions_retired - before)
             assert result == 500
+            assert bool(resumed) == vm.threaded_code
         assert retireds[0] == retireds[1]
 
     def test_revocation_idiom_branches_and_falls_through(self):
@@ -743,8 +778,8 @@ def _top_method(draw):
 
 
 def _run_top_case(vm, body):
-    """Run the body as static ``fz/C.f`` on a fresh thread, the receiver
-    as holder: ``(outcome, retired)``."""
+    """Run the body as static ``fz/C.f`` on a fresh thread beside a
+    parked one, the receiver as holder: ``(outcome, retired)``."""
     code, handlers = body
 
     def build(ca):
@@ -774,9 +809,10 @@ def _run_top_case(vm, body):
         return ("rejected", type(exc).__name__), None
     receiver = vm.construct(rtclass)
     obj = vm.heap.new_object(vm.object_class)
-    return _outcome(vm, lambda: vm.call_static(
-        rtclass, "f", _CALLEE_DESC, [5, -3, 2.5, obj, receiver],
-        max_steps=20_000))
+    with _beside_a_parked_thread(vm):
+        return _outcome(vm, lambda: vm.call_static(
+            rtclass, "f", _CALLEE_DESC, [5, -3, 2.5, obj, receiver],
+            max_steps=20_000))
 
 
 class TestTopLevelEquivalence:
@@ -786,11 +822,18 @@ class TestTopLevelEquivalence:
         """A fuzzed top-level body, which the fast tier resumes from its
         frame at every quantum and after every fault it handles: the
         same results, guest exceptions and retired ticks as the generic
-        tier, and every body verifies."""
-        fast = _run_top_case(fresh_vm(), body)
+        tier, and every body verifies.  A body that returns or runs out
+        of steps after more than a quantum was resumed past pc 0: no
+        thread finishes inside a step's overshoot."""
+        vm = fresh_vm()
+        resumed = _counting_resumes(vm)
+        fast = _run_top_case(vm, body)
         generic = _run_top_case(fresh_vm(threaded_code=False), body)
         assert fast == generic
         assert fast[0][0] != "rejected"
+        if fast[0][0] != "guest-exception" \
+                and fast[1] > vm.scheduler.quantum:
+            assert resumed
 
     def test_every_opcode_has_one_template(self):
         """Apart from the generic decoder, each opcode's semantics is one
@@ -1065,7 +1108,7 @@ class TestFramelessDeopt:
 
 class TestResumedLoops:
     """Loops that the fast tier runs inside one function and resumes from
-    their frame between quanta."""
+    their frame between quanta; each test checks that it did."""
 
     def test_two_threads_contend_for_a_monitor_in_a_loop(self):
         """Each thread takes the lock ``n`` times and spins inside it
@@ -1112,14 +1155,16 @@ class TestResumedLoops:
                 blocked.append(not entered)
                 return entered
             vm.monitors.try_enter = counting
+            resumed = _counting_resumes(vm)
             threads = [vm.scheduler.spawn(
                 work, work.declared[("work", "(Ljava/lang/Object;I)I")],
                 [lock, 5]) for _ in range(2)]
             vm.scheduler.run()
-            return sorted(t.result for t in threads), any(blocked)
-        results = _both(run)
-        assert results[0] == results[1]
-        assert results[0][0][1] == 10 and results[0][1]
+            return (sorted(t.result for t in threads), any(blocked)), resumed
+        (fast, resumed), (generic, _) = _both(run)
+        assert fast == generic
+        assert fast[0][1] == 10 and fast[1]
+        assert resumed
 
     def test_contended_monitorenter_retires_one_tick(self):
         """``hold`` yields with the lock held, so ``take`` blocks on its
@@ -1144,14 +1189,15 @@ class TestResumedLoops:
             lock_class = load_classes(vm, [assemble("fl/Y", build)]).loaded(
                 "fl/Y")
             lock = vm.heap.new_object(vm.object_class)
+            resumed = _counting_resumes(vm)
             threads = [vm.scheduler.spawn(
                 lock_class, lock_class.declared[
                     (name, "(Ljava/lang/Object;)I")], [lock])
                 for name in ("hold", "take")]
             vm.scheduler.run()
             return ([t.result for t in threads],
-                    vm.interpreter.instructions_retired)
-        assert _both(run) == [([1, 2], 14)] * 2
+                    vm.interpreter.instructions_retired, bool(resumed))
+        assert _both(run) == [([1, 2], 14, True), ([1, 2], 14, False)]
 
     def test_stop_between_quanta_of_a_running_loop(self):
         """A second thread stops a thread that is looping: the stop is
@@ -1195,12 +1241,14 @@ class TestResumedLoops:
                 "fl/S", build,
                 fields=(("victim", "Ljava/lang/Thread;", PUBLIC_STATIC),))])
             spin = loader.loaded("fl/S")
+            resumed = _counting_resumes(vm)
             victim = vm.scheduler.spawn(
                 spin, spin.declared[("spin", "(I)I")], [100_000])
             vm.scheduler.spawn(spin, spin.declared[("kill", "()V")], [])
             vm.scheduler.run()
-            return victim.result, vm.interpreter.instructions_retired < 1000
-        assert _both(run) == [(-5, True)] * 2
+            return (victim.result, vm.interpreter.instructions_retired < 1000,
+                    bool(resumed))
+        assert _both(run) == [(-5, True, True), (-5, True, False)]
 
     def test_fault_in_a_loop_body_handled_at_the_loop_head(self):
         """``12 / (n % 3)`` faults on every third trip; the handler's
@@ -1236,12 +1284,17 @@ class TestResumedLoops:
 
         def run(vm):
             loader = load_classes(vm, [assemble("fl/H", build)])
-            return [_outcome(vm, lambda: vm.call_static(
-                loader.loaded("fl/H"), "f", "(I)I", [n]))
-                for n in (7, 300)]
-        fast, generic = _both(run)
+            resumed = _counting_resumes(vm)
+            with _beside_a_parked_thread(vm):
+                outcomes = [_outcome(vm, lambda: vm.call_static(
+                    loader.loaded("fl/H"), "f", "(I)I", [n]))
+                    for n in (7, 300)]
+            return outcomes, resumed
+        (fast, resumed), (generic, _) = _both(run)
         assert fast == generic
         assert [outcome for outcome, _ in fast] == [("ok", 36), ("ok", 1800)]
+        # more resumes than the 3 + 100 faults handled: quanta cut it too
+        assert len(resumed) > 103
 
 
 class TestArrayLimit:

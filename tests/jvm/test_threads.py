@@ -446,3 +446,139 @@ class TestDyingHolder:
         assert holder.native.uncaught.jclass.name == "java/lang/ThreadDeath"
         assert field_of(vm, waiter, "done") == 1
         assert vm.monitors.owner(lock) is None
+
+
+def spin_classes():
+    """``t/Main.main`` starts a ``t/Setter``, spins until the setter has
+    set the static ``flag`` and returns it; ``t/Main.count`` increments
+    the static ``n`` forever."""
+    def setter(ca):
+        with ca.method("run", "()V") as m:
+            m.emit(ICONST, 1)
+            m.emit(PUTSTATIC, "t/Main", "flag")
+            m.emit(RETURN)
+
+    def main(ca):
+        with ca.method("main", "()I", PUBLIC_STATIC) as m:
+            m.emit("new", "t/Setter")
+            m.emit(DUP)
+            m.emit(INVOKESPECIAL, "t/Setter", "<init>", "()V")
+            m.emit("invokevirtual", "java/lang/Thread", "start", "()V")
+            spin = m.here()
+            m.emit(GETSTATIC, "t/Main", "flag")
+            m.emit("ifeq", spin.pc)
+            m.emit(GETSTATIC, "t/Main", "flag")
+            m.emit(IRETURN)
+        with ca.method("count", "()V", PUBLIC_STATIC) as m:
+            top = m.here()
+            m.emit(GETSTATIC, "t/Main", "n")
+            m.emit(ICONST, 1)
+            m.emit("iadd")
+            m.emit(PUTSTATIC, "t/Main", "n")
+            m.emit(GOTO, top.pc)
+
+    return [
+        assemble("t/Setter", setter, super_name="java/lang/Thread"),
+        assemble("t/Main", main, fields=[("flag", "I", PUBLIC_STATIC),
+                                         ("n", "I", PUBLIC_STATIC)]),
+    ]
+
+
+def nesting_class():
+    """``t/Nest.main(n)`` passes ``n`` three times through the native
+    ``nested``; ``count(n)`` counts to ``n``."""
+    def build(ca):
+        ca.native_method("nested", "(I)I", PUBLIC_STATIC)
+        with ca.method("main", "(I)I", PUBLIC_STATIC) as m:
+            for _ in range(3):
+                m.emit(ILOAD, 0)
+                m.emit(INVOKESTATIC, "t/Nest", "nested", "(I)I")
+                m.emit(ISTORE, 0)
+            m.emit(ILOAD, 0)
+            m.emit(IRETURN)
+        with ca.method("count", "(I)I", PUBLIC_STATIC) as m:
+            m.emit(ICONST, 0)
+            m.emit(ISTORE, 1)
+            loop = m.here()
+            m.emit(ILOAD, 1)
+            m.emit(ILOAD, 0)
+            done = m.label()
+            m.emit(IF_ICMPGE, done)
+            m.emit(IINC, 1, 1)
+            m.emit(GOTO, loop.pc)
+            m.mark(done)
+            m.emit(ILOAD, 1)
+            m.emit(IRETURN)
+
+    return assemble("t/Nest", build)
+
+
+def on_both_tiers(profile, run):
+    """``run(vm)`` on a fast-tier and a generic-tier VM of ``profile``."""
+    return [run(fresh_vm(profile, threaded_code=threaded))
+            for threaded in (True, False)]
+
+
+def retired(vm, call):
+    before = vm.interpreter.instructions_retired
+    return call(), vm.interpreter.instructions_retired - before
+
+
+class TestLoneSlices:
+    """A thread alone runs its call's whole budget in one step, which
+    ends wherever another thread can run."""
+
+    def test_a_started_thread_runs_while_its_starter_spins(self, profile):
+        """The spinner's step is cut at ``Thread.start``, so the setter
+        runs; the spinner alone would never give its step up."""
+        def run(vm):
+            main = load_classes(vm, spin_classes(), "spin").loaded("t/Main")
+            return retired(vm, lambda: vm.call_static(
+                main, "main", "()I", max_steps=100_000))
+
+        fast, generic = on_both_tiers(profile, run)
+        assert fast == generic
+        assert fast[0] == 1
+
+    def test_until_stops_the_run_within_a_quantum(self, vm):
+        """``until`` is asked between steps: a thread alone under any
+        ``until`` but ``run_thread``'s still runs one quantum a step."""
+        main = load_classes(vm, spin_classes(), "spin").loaded("t/Main")
+        slot = main.static_index["n"]
+        counter = vm.scheduler.spawn(
+            main, main.declared[("count", "()V")], [])
+        vm.scheduler.run(max_steps=1_000_000,
+                         until=lambda: main.static_slots[slot] >= 100)
+        assert counter.alive
+        # five ticks a trip; a fast-tier step overshoots by at most four
+        assert main.static_slots[slot] - 100 <= (vm.scheduler.quantum
+                                                 + 4) // 5
+
+    def test_a_nested_call_leaves_the_outer_step_as_it_found_it(self,
+                                                                 profile):
+        """A native that runs ``vm.call_static`` mid-step: the nested run
+        never steps the outer thread, and the outer step gets its current
+        thread and its lone slice back."""
+        def run(vm):
+            nest = load_classes(vm, [nesting_class()], "nest").loaded(
+                "t/Nest")
+            scheduler = vm.scheduler
+            kept = []
+
+            def nested(vm, thread, args):
+                def state():
+                    return (scheduler.current_thread(), scheduler._stepping,
+                            scheduler._lone)
+                before = state()
+                result = vm.call_static(nest, "count", "(I)I",
+                                        [args[0] + 100])
+                kept.append(before == state() and before[0] is thread)
+                return result
+            vm.natives.register("t/Nest", "nested", "(I)I", nested)
+            outcome = retired(vm, lambda: vm.call_static(
+                nest, "main", "(I)I", [1]))
+            return outcome, kept, scheduler.threads
+
+        fast, generic = on_both_tiers(profile, run)
+        assert fast == generic
+        assert fast == ((301, fast[0][1]), [True] * 3, [])

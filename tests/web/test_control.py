@@ -385,3 +385,6 @@ class TestAutoscaler:
             time.sleep(0.01)
         scaler.stop()
         assert Flaky.polls >= 3
+        assert scaler.tick_failures == Flaky.polls
+        assert isinstance(scaler.last_error, RuntimeError)
+        assert scaler.decisions == []
