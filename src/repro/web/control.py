@@ -205,10 +205,27 @@ class AdmissionController:
     def _tenant(self, key):
         tenant = self._tenants.get(key)
         if tenant is None:
+            if len(self._tenants) >= self.max_inflight + len(self._weights):
+                self._prune()
             weight = self._weights.get(key, 1.0)
             tenant = self._tenants[key] = _Tenant(key, weight)
             self._total_weight += weight
         return tenant
+
+    def _prune(self):
+        """Drop the tenants that hold nothing: no request in flight, no
+        configured weight and no deprioritized mark.  Run (under the
+        lock) when a new tenant finds the table at ``max_inflight``
+        entries beyond the configured ones, so neither the table nor the
+        total weight follows the number of ``/servlet/<x>`` prefixes a
+        client can invent."""
+        weights = self._weights
+        self._tenants = {
+            key: tenant for key, tenant in self._tenants.items()
+            if tenant.in_flight or tenant.deprioritized or key in weights
+        }
+        self._total_weight = sum(
+            tenant.weight for tenant in self._tenants.values())
 
     # -- the parse-boundary decision ---------------------------------------
     def decide(self, path, now=None):

@@ -27,6 +27,7 @@ connections).
 from __future__ import annotations
 
 import heapq
+import math
 import selectors
 import socket
 import threading
@@ -260,7 +261,18 @@ class _PoolTask:
             response, not self.slot.close_after, self.slot.version,
             self.loop.server._format_failures,
         )
-        self.loop.post(("complete", self.conn, self.slot, payload))
+        if not self.loop.post(("complete", self.conn, self.slot, payload)):
+            _abandon_slot(self.loop.server, self.slot)
+
+
+def _abandon_slot(server, slot):
+    """Release the admission unit of a slot whose response will never be
+    written (the server is stopping): no latency sample, and never twice,
+    because each path that abandons a slot is the only one holding it."""
+    tenant = slot.tenant
+    if tenant is not None:
+        slot.tenant = None
+        server.admission.finish(tenant)
 
 
 #: The smallest weight the pool queues by: a zero, negative or NaN weight
@@ -281,10 +293,16 @@ class DomainWorkerPool:
     workers run the smallest tag first (arrival order breaking ties).
     One tenant — every caller that names none — is therefore served in
     exactly arrival order; a tenant's own tasks never overtake each
-    other; a backlogged tenant cannot hold a neighbour's task behind
-    more than the tasks already on a worker; and a tenant that was idle
-    comes back at the pool's virtual time, with no credit saved up.
-    Nothing is preempted and no service time is estimated.
+    other; and a tenant that was idle comes back at the pool's virtual
+    time, with no credit saved up.
+
+    Workers are reserved by weight: while a tenant holds a finish tag it
+    runs at most ``ceil(workers * weight / total)`` tasks at once (never
+    fewer than one), the total taken over the tenants holding a tag.  A
+    worker passes over the tasks of a tenant at its cap and parks when
+    every queued task is capped, so a backlogged tenant cannot take the
+    worker a favoured neighbour's next request would run on.  Nothing is
+    preempted and no service time is estimated.
     """
 
     def __init__(self, workers=2, capacity=128, name="httpd-pool"):
@@ -294,13 +312,18 @@ class DomainWorkerPool:
         self._heap = []  # (start tag, arrival number, task, tenant)
         self._arrivals = 0
         self._vtime = 0.0
-        # tenant -> finish tag of its latest task.  A tag that virtual
-        # time has passed means nothing (submit takes the later of the
-        # two), so the map is emptied whenever the pool goes idle and
-        # pruned to the tenants with queued work before it can outgrow
-        # ``capacity`` — its size never follows the number of tenant
-        # names a client can invent.
+        # tenant -> (finish tag, weight) of its latest task.  A tag that
+        # virtual time has passed means nothing (submit takes the later
+        # of the two), so the map is emptied whenever the pool goes idle
+        # and pruned to the tenants with queued or running work before
+        # it can outgrow ``capacity`` — its size never follows the
+        # number of tenant names a client can invent.  A tenant's
+        # reservation lives exactly as long as its tag, and
+        # ``_total_weight`` sums the weights in the map.
         self._finish = {}
+        self._total_weight = 0.0
+        self._busy = {}  # tenant -> tasks running now (no zero entries)
+        self._active = 0
         self._idle = 0
         self._not_empty = threading.Condition(threading.Lock())
         self._threads = []
@@ -309,6 +332,9 @@ class DomainWorkerPool:
         self.rejected = ShardedCounter()
         self.completed = ShardedCounter()
         self.failed = ShardedCounter()
+        # Dispatches that passed over a tenant at its cap; bumped under
+        # the pool's lock, so a plain int.
+        self.passed_over = 0
 
     def start(self):
         with self._not_empty:
@@ -328,42 +354,120 @@ class DomainWorkerPool:
         return self._running
 
     def submit(self, task, tenant=None, weight=1.0):
+        if not weight > _MIN_WEIGHT:
+            weight = _MIN_WEIGHT
         with self._not_empty:
             if not self._running or len(self._heap) >= self.capacity:
                 self.rejected.add(1)
                 return False
             finish = self._finish
+            shares_moved = False
             if len(finish) >= self.capacity and tenant not in finish:
-                queued = {entry[3] for entry in self._heap}
-                finish = self._finish = {
-                    key: tag for key, tag in finish.items() if key in queued
-                }
-            start = max(self._vtime, finish.get(tenant, 0.0))
-            finish[tenant] = start + 1.0 / (
-                weight if weight > _MIN_WEIGHT else _MIN_WEIGHT)
+                self._prune()
+                finish = self._finish
+                shares_moved = True
+            held = finish.get(tenant)
+            if held is None:
+                start = self._vtime
+                self._total_weight += weight
+            else:
+                start = max(self._vtime, held[0])
+                if held[1] != weight:
+                    self._total_weight += weight - held[1]
+                    shares_moved = True
+            finish[tenant] = (start + 1.0 / weight, weight)
             self._arrivals += 1
             heapq.heappush(self._heap,
                            (start, self._arrivals, task, tenant))
-            self._not_empty.notify()
+            if shares_moved:
+                # Another tenant's cap may have grown: every parked
+                # worker looks again.
+                self._not_empty.notify_all()
+            else:
+                self._not_empty.notify()
         self.submitted.add(1)
         return True
 
+    def _prune(self):
+        """Keep the tags (and reservations) of tenants with queued or
+        running work only.  Called under the lock."""
+        keep = {entry[3] for entry in self._heap}
+        keep.update(self._busy)
+        self._finish = {key: held for key, held in self._finish.items()
+                        if key in keep}
+        self._total_weight = sum(
+            weight for _, weight in self._finish.values())
+
+    def _under_cap(self, tenant):
+        busy = self._busy.get(tenant, 0)
+        if not busy:
+            return True
+        # The slack keeps a quotient that is whole on paper from
+        # rounding up on float error (3 x 0.1 / 0.3 = 1.0000000000000002).
+        cap = math.ceil(self.workers * self._finish[tenant][1]
+                        / self._total_weight - 1e-9)
+        return busy < cap
+
+    def _next(self):
+        """Pop the smallest-tag task whose tenant is under its cap, or
+        return None.  Called under the lock; the entries it passes over
+        go back on the heap, so one call costs at most the queue length,
+        which ``capacity`` bounds."""
+        heap = self._heap
+        skipped = []
+        entry = None
+        while heap:
+            candidate = heapq.heappop(heap)
+            if self._under_cap(candidate[3]):
+                entry = candidate
+                break
+            skipped.append(candidate)
+        if skipped:
+            for candidate in skipped:
+                heapq.heappush(heap, candidate)
+            if entry is not None:
+                self.passed_over += 1
+        return entry
+
     def _run(self):
+        cond = self._not_empty
+        done = None  # the entry this worker just ran
         while True:
-            with self._not_empty:
-                while self._running and not self._heap:
+            with cond:
+                if done is not None:
+                    tenant = done[3]
+                    left = self._busy[tenant] - 1
+                    if left:
+                        self._busy[tenant] = left
+                    else:
+                        del self._busy[tenant]
+                    self._active -= 1
+                    # A capped task of this tenant may now run on a
+                    # worker parked on its cap.
+                    cond.notify()
+                while True:
+                    entry = self._next() if self._running else None
+                    if entry is not None or not self._running:
+                        break
                     self._idle += 1
-                    if self._idle == self.workers:
+                    if self._idle == self.workers and not self._heap:
                         # Nothing queued and nothing running: there is
                         # nobody left to be fair to.
                         self._finish.clear()
+                        self._total_weight = 0.0
                         self._vtime = 0.0
-                    self._not_empty.wait(0.5)
+                    cond.wait(0.5)
                     self._idle -= 1
-                if not self._heap:
+                if entry is None:
                     return
-                start, _, task, _ = heapq.heappop(self._heap)
-                self._vtime = start
+                start, _, task, tenant = entry
+                # A capped tenant's older tag can run after a newer one;
+                # virtual time only moves forward.
+                if start > self._vtime:
+                    self._vtime = start
+                self._busy[tenant] = self._busy.get(tenant, 0) + 1
+                self._active += 1
+            done = entry
             try:
                 task()
             except Exception:
@@ -375,14 +479,19 @@ class DomainWorkerPool:
             self.completed.add(1)
 
     def stop(self, timeout=5.0):
+        """Stop the workers; returns the queued tasks it dropped, which
+        will never run."""
         with self._not_empty:
             self._running = False
+            dropped = [entry[2] for entry in self._heap]
             self._heap.clear()
             self._finish.clear()
+            self._total_weight = 0.0
             self._not_empty.notify_all()
         for thread in self._threads:
             thread.join(timeout)
         self._threads = []
+        return dropped
 
     def stats(self):
         return {
@@ -391,6 +500,8 @@ class DomainWorkerPool:
             "rejected": self.rejected.value,
             "failed": self.failed.value,
             "queued": len(self._heap),
+            "running": self._active,
+            "passed_over": self.passed_over,
         }
 
 
@@ -969,6 +1080,8 @@ class _EventLoop(threading.Thread):
                     item[1].close()
                 except OSError:
                     pass  # a failed close leaves nothing to undo
+            else:  # "complete": the response is never written
+                _abandon_slot(self.server, item[2])
         for sock in (self._wake_r, self._wake_w):
             try:
                 sock.close()
@@ -1206,7 +1319,8 @@ class NativeHttpServer:
         for loop in self._loops:
             loop.join(5.0)
         if self.pool is not None:
-            self.pool.stop()
+            for task in self.pool.stop():  # every one a _PoolTask
+                _abandon_slot(self, task.slot)
 
     def __enter__(self):
         return self.start()

@@ -243,6 +243,34 @@ class TestAdmissionController:
         assert controller.stats()["tenants"]["/a"]["weight"] == 5.0
         controller.finish("/a")
 
+    def test_invented_tenants_do_not_grow_the_table(self):
+        """Ten thousand one-shot ``/servlet/<x>`` prefixes leave a table
+        (and a total weight) bounded by ``max_inflight``, keep the
+        configured and deprioritized tenants, and do not dilute a
+        configured tenant's fair share down to one request."""
+        controller = AdmissionController(
+            max_inflight=64, shed_threshold=0.0625,
+            weights={"/steady": 15.0, "/abuser": 1.0})
+        controller.set_deprioritized("/marked")
+        self._register(controller, "/abuser")
+        for index in range(10_000):
+            decision = controller.decide(f"/servlet/one-shot-{index}/x")
+            assert decision.admitted
+            controller.finish(decision.tenant)
+        tenants = controller.stats()["tenants"]
+        assert len(tenants) <= 64 + 2
+        assert {"/abuser", "/marked"} <= set(tenants)
+        assert controller._total_weight == pytest.approx(
+            sum(tenant["weight"] for tenant in tenants.values()))
+        # Pressure is on from four in flight: three one-shots and
+        # steady's first, and steady's next ones are inside its share.
+        busy = [controller.decide(f"/servlet/busy-{index}/x")
+                for index in range(3)]
+        steady = [controller.decide("/servlet/steady/x") for _ in range(8)]
+        assert all(decision.admitted for decision in busy + steady)
+        assert controller.inflight() == 11
+        _drain(controller, busy + steady)
+
     def test_concurrent_decide_finish_keeps_gauge_consistent(self):
         controller = AdmissionController(max_inflight=64)
 

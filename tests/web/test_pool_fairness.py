@@ -19,6 +19,7 @@ from repro.web import (
     format_response,
 )
 from repro.web.control import AdmissionController
+from repro.web.httpd import _EventLoop, _Slot
 
 DEADLINE = 10.0
 
@@ -245,6 +246,174 @@ class TestBounds:
             pool.stop()
 
 
+class _Gates:
+    """A started pool whose every task blocks on a gate of its own, and
+    a record of the most tasks each tenant ever ran at once."""
+
+    def __init__(self, workers=2):
+        self.pool = DomainWorkerPool(workers).start()
+        self.entered = {}
+        self.gates = {}
+        self.most = {}
+        self._now = {}
+        self._lock = threading.Lock()
+
+    def submit(self, label, tenant, weight=1.0):
+        entered, gate = threading.Event(), threading.Event()
+        self.entered[label], self.gates[label] = entered, gate
+
+        def task():
+            with self._lock:
+                now = self._now[tenant] = self._now.get(tenant, 0) + 1
+                self.most[tenant] = max(self.most.get(tenant, 0), now)
+            entered.set()
+            assert gate.wait(DEADLINE)
+            with self._lock:
+                self._now[tenant] -= 1
+
+        assert self.pool.submit(task, tenant, weight)
+
+    def started(self, label):
+        return self.entered[label].wait(DEADLINE)
+
+    def finish(self, label):
+        self.gates[label].set()
+
+    def parks_instead_of(self, label):
+        """Wait until either a worker parks or ``label`` starts; True
+        when the worker parked and ``label`` did not start."""
+        entered = self.entered[label]
+        _eventually(lambda: entered.is_set() or self.pool._idle == 1)
+        return not entered.is_set()
+
+    def drained(self):
+        _eventually(lambda: self.pool._idle == self.pool.workers
+                    and not self.pool._finish)
+
+    def close(self):
+        for gate in self.gates.values():
+            gate.set()
+        self.pool.stop()
+
+
+class TestReservations:
+    """Two workers, and tenants weighted 15:1: while the favoured tenant
+    holds a tag the light one may run ceil(2 x 1/16) = 1 task at once
+    and the favoured one ceil(2 x 15/16) = 2.  Every verdict is read
+    while the workers sit in gates or parked, never from a timing."""
+
+    def test_light_tenant_keeps_off_the_favoured_tenants_worker(self):
+        """(a) the favoured tenant is between requests: the light
+        tenant's backlog waits, and the favoured tenant's next request
+        starts on the worker it left free."""
+        gates = _Gates()
+        try:
+            gates.submit("f1", "F", 15.0)
+            assert gates.started("f1")
+            for label in ("l1", "l2", "l3"):
+                gates.submit(label, "L", 1.0)
+            assert gates.started("l1")
+            gates.finish("f1")
+            assert gates.parks_instead_of("l2")
+            gates.submit("f2", "F", 15.0)
+            assert gates.started("f2")
+            assert gates.pool.stats()["running"] == 2
+            gates.finish("l1")
+            assert gates.started("l2")
+            gates.finish("f2")
+            assert gates.parks_instead_of("l3")
+            gates.finish("l2")
+            assert gates.started("l3")
+            gates.finish("l3")
+            gates.drained()
+        finally:
+            gates.close()
+        assert gates.most == {"F": 1, "L": 1}
+
+    def test_one_tenant_runs_on_every_worker(self):
+        """(b) alone, a tenant's share is the whole pool."""
+        gates = _Gates()
+        try:
+            gates.submit("a1", "A", 0.5)
+            gates.submit("a2", "A", 0.5)
+            assert gates.started("a1") and gates.started("a2")
+            assert gates.pool.stats()["running"] == 2
+        finally:
+            gates.close()
+        assert gates.most == {"A": 2}
+
+    def test_reservation_ends_when_the_pool_drains(self):
+        """(c) once nothing is queued or running the tags are gone, and
+        with them the favoured tenant's reservation."""
+        gates = _Gates()
+        try:
+            gates.submit("f1", "F", 15.0)
+            assert gates.started("f1")
+            gates.submit("l1", "L", 1.0)
+            gates.submit("l2", "L", 1.0)
+            assert gates.started("l1")
+            gates.finish("f1")
+            assert gates.parks_instead_of("l2")
+            gates.finish("l1")
+            assert gates.started("l2")
+            gates.finish("l2")
+            gates.drained()
+            gates.submit("l3", "L", 1.0)
+            gates.submit("l4", "L", 1.0)
+            assert gates.started("l3") and gates.started("l4")
+        finally:
+            gates.close()
+        assert gates.most == {"F": 1, "L": 2}
+
+    def test_stop_returns_while_a_worker_is_parked(self):
+        """(d) the parked worker leaves on stop, not on the capped task
+        it was waiting for."""
+        gates = _Gates()
+        threads = list(gates.pool._threads)
+        gates.submit("f1", "F", 15.0)
+        assert gates.started("f1")
+        gates.submit("l1", "L", 1.0)
+        gates.submit("l2", "L", 1.0)
+        assert gates.started("l1")
+        gates.finish("f1")
+        assert gates.parks_instead_of("l2")
+        stopper = threading.Thread(target=gates.pool.stop)
+        stopper.start()  # joins the worker l1 still holds
+        _eventually(lambda: sum(t.is_alive() for t in threads) == 1)
+        gates.finish("l1")
+        stopper.join(DEADLINE)
+        assert not stopper.is_alive()
+        assert not gates.entered["l2"].is_set()
+        assert gates.pool._busy == {} and gates.pool._finish == {}
+
+    def test_passing_over_a_capped_tenant_keeps_virtual_time(self):
+        """At weights 3:1 the favoured tenant's tags step by a third.
+        The light tenant's queued task (tag 1) is capped behind its
+        running first, so F's tasks tagged 1 and 4/3 pass it; when it
+        runs at last, virtual time stays at 4/3 and does not go back."""
+        gates = _Gates()
+        try:
+            gates.submit("f1", "F", 3.0)
+            assert gates.started("f1")
+            gates.submit("l1", "L", 1.0)
+            assert gates.started("l1")
+            gates.submit("l2", "L", 1.0)  # tag 1
+            for label in ("f2", "f3", "f4", "f5"):  # 1/3, 2/3, 1, 4/3
+                gates.submit(label, "F", 3.0)
+            for label in ("f1", "f2", "f3", "f4"):
+                gates.finish(label)
+                assert gates.started(f"f{int(label[1]) + 1}")
+            stats = gates.pool.stats()
+            assert stats["passed_over"] == 2
+            assert stats["queued"] == 1 and stats["running"] == 2
+            assert not gates.entered["l2"].is_set()
+            gates.finish("l1")
+            assert gates.started("l2")
+            assert gates.pool._vtime == 4 / 3
+        finally:
+            gates.close()
+
+
 class _GatedServer:
     """One pool worker, held inside ``/servlet/gate`` until released;
     the other servlets record the order they ran in."""
@@ -395,6 +564,52 @@ class TestMemoisedRefusals:
             gated.close()
         assert replies[2:] == [fresh, fresh]
         assert replies[1].startswith(b"HTTP/1.0 200")
+
+
+class TestStopReleasesUnits:
+    """Every admitted request holds one admission unit until its
+    response slot is ready; work a stopping server drops must hand its
+    unit back all the same."""
+
+    def test_running_and_queued_requests_release_their_units(self):
+        controller = AdmissionController(max_inflight=16)
+        gated = _GatedServer(controller)
+        try:
+            gated.send("/servlet/gate")
+            assert gated.entered.wait(DEADLINE)
+            for count, path in enumerate(["/servlet/a/1", "/servlet/b/1"],
+                                         start=1):
+                gated.send(path)
+                gated.queued(count)
+            assert controller.inflight() == 3
+            # The loops stop first, then the pool drops the queue and
+            # joins the worker still inside the gate.
+            stopper = threading.Thread(target=gated.server.stop)
+            stopper.start()
+            _eventually(lambda: gated.server.pool.stats()["queued"] == 0)
+            gated.released.set()
+            stopper.join(DEADLINE)
+            assert not stopper.is_alive()
+        finally:
+            gated.close()
+        assert controller.inflight() == 0
+        assert gated.order == []
+
+    def test_a_completion_the_loop_never_drained_releases_its_unit(self):
+        controller = AdmissionController()
+        server = NativeHttpServer(workers=1, admission=controller)
+        loop = _EventLoop(server, 0)
+        try:
+            decision = controller.decide("/servlet/a/x")
+            slot = _Slot(True, "HTTP/1.0")
+            slot.tenant = decision.tenant
+            assert loop.post(("complete", None, slot, b""))
+            assert controller.inflight() == 1
+            loop._cleanup()
+        finally:
+            server.stop()
+        assert controller.inflight() == 0
+        assert not loop.post(("complete", None, slot, b""))
 
 
 class TestCloseOrder:
