@@ -303,6 +303,13 @@ class DomainWorkerPool:
     every queued task is capped, so a backlogged tenant cannot take the
     worker a favoured neighbour's next request would run on.  Nothing is
     preempted and no service time is estimated.
+
+    A tenant that has gone gives its tag and reservation up before the
+    pool drains: once it has nothing queued or running, virtual time has
+    reached its finish tag, and the pool has started ``workers`` tasks
+    since its last one ended.  The favoured tenant keeps its reservation
+    through the short gaps between its own requests; a tenant that sent
+    one request and left holds it for one turn of the workers.
     """
 
     def __init__(self, workers=2, capacity=128, name="httpd-pool"):
@@ -312,18 +319,20 @@ class DomainWorkerPool:
         self._heap = []  # (start tag, arrival number, task, tenant)
         self._arrivals = 0
         self._vtime = 0.0
-        # tenant -> (finish tag, weight) of its latest task.  A tag that
-        # virtual time has passed means nothing (submit takes the later
-        # of the two), so the map is emptied whenever the pool goes idle
-        # and pruned to the tenants with queued or running work before
-        # it can outgrow ``capacity`` — its size never follows the
-        # number of tenant names a client can invent.  A tenant's
-        # reservation lives exactly as long as its tag, and
+        # tenant -> (finish tag, weight, quiet mark) of its latest task,
+        # the mark being ``_started`` when its running count last fell
+        # to zero.  A tag that virtual time has passed means nothing
+        # (submit takes the later of the two), so the map is emptied
+        # whenever the pool goes idle, rid of the tenants that have gone
+        # (``_release_departed``), and pruned to the tenants with queued
+        # or running work before it can outgrow ``capacity`` — its size
+        # never follows the number of tenant names a client can invent.
+        # A tenant's reservation lives exactly as long as its tag, and
         # ``_total_weight`` sums the weights in the map.
         self._finish = {}
         self._total_weight = 0.0
         self._busy = {}  # tenant -> tasks running now (no zero entries)
-        self._active = 0
+        self._started = 0  # tasks dispatched, ever
         self._idle = 0
         self._not_empty = threading.Condition(threading.Lock())
         self._threads = []
@@ -370,12 +379,14 @@ class DomainWorkerPool:
             if held is None:
                 start = self._vtime
                 self._total_weight += weight
+                quiet = self._started
             else:
                 start = max(self._vtime, held[0])
                 if held[1] != weight:
                     self._total_weight += weight - held[1]
                     shares_moved = True
-            finish[tenant] = (start + 1.0 / weight, weight)
+                quiet = held[2]
+            finish[tenant] = (start + 1.0 / weight, weight, quiet)
             self._arrivals += 1
             heapq.heappush(self._heap,
                            (start, self._arrivals, task, tenant))
@@ -395,8 +406,27 @@ class DomainWorkerPool:
         keep.update(self._busy)
         self._finish = {key: held for key, held in self._finish.items()
                         if key in keep}
-        self._total_weight = sum(
-            weight for _, weight in self._finish.values())
+        self._total_weight = sum(held[1] for held in self._finish.values())
+
+    def _release_departed(self):
+        """Drop the tag, and so the reservation, of every tenant that has
+        gone: nothing queued or running, virtual time at its finish tag
+        (dropping the tag gives no credit back), and ``workers`` tasks
+        started since its last one ended.  Returns True when any went.
+        Called under the lock when a dispatch meets a capped tenant; it
+        costs the queue length plus the tag map, both bounded by
+        ``capacity``."""
+        queued = {entry[3] for entry in self._heap}
+        horizon = self._started - self.workers
+        gone = [tenant for tenant, (finish, _, quiet) in self._finish.items()
+                if quiet <= horizon and finish <= self._vtime
+                and tenant not in self._busy and tenant not in queued]
+        for tenant in gone:
+            del self._finish[tenant]
+        if gone:
+            self._total_weight = sum(
+                held[1] for held in self._finish.values())
+        return bool(gone)
 
     def _under_cap(self, tenant):
         busy = self._busy.get(tenant, 0)
@@ -418,7 +448,12 @@ class DomainWorkerPool:
         entry = None
         while heap:
             candidate = heapq.heappop(heap)
-            if self._under_cap(candidate[3]):
+            tenant = candidate[3]
+            if (not skipped and not self._under_cap(tenant)
+                    and self._release_departed()):
+                # Every cap left has grown: parked workers look again.
+                self._not_empty.notify_all()
+            if self._under_cap(tenant):
                 entry = candidate
                 break
             skipped.append(candidate)
@@ -441,7 +476,10 @@ class DomainWorkerPool:
                         self._busy[tenant] = left
                     else:
                         del self._busy[tenant]
-                    self._active -= 1
+                        held = self._finish.get(tenant)
+                        if held is not None:
+                            self._finish[tenant] = (held[0], held[1],
+                                                    self._started)
                     # A capped task of this tenant may now run on a
                     # worker parked on its cap.
                     cond.notify()
@@ -466,7 +504,7 @@ class DomainWorkerPool:
                 if start > self._vtime:
                     self._vtime = start
                 self._busy[tenant] = self._busy.get(tenant, 0) + 1
-                self._active += 1
+                self._started += 1
             done = entry
             try:
                 task()
@@ -494,13 +532,15 @@ class DomainWorkerPool:
         return dropped
 
     def stats(self):
+        with self._not_empty:
+            running = sum(self._busy.values())
         return {
             "submitted": self.submitted.value,
             "completed": self.completed.value,
             "rejected": self.rejected.value,
             "failed": self.failed.value,
             "queued": len(self._heap),
-            "running": self._active,
+            "running": running,
             "passed_over": self.passed_over,
         }
 

@@ -365,6 +365,33 @@ class TestReservations:
             gates.close()
         assert gates.most == {"F": 1, "L": 2}
 
+    def test_reservation_ends_when_its_tenant_has_gone(self):
+        """At 1:1 each tenant may run ceil(2 x 1/2) = 1 task while both
+        hold a tag.  B runs one task and leaves while A has three queued;
+        once two of A's tasks have started since B's ended, B's tag and
+        reservation are gone and A runs two at once, with work still
+        queued — the pool never drains."""
+        gates = _Gates()
+        try:
+            gates.submit("a1", "A")
+            assert gates.started("a1")
+            gates.submit("b1", "B")
+            assert gates.started("b1")
+            for label in ("a2", "a3", "a4"):
+                gates.submit(label, "A")
+            gates.finish("b1")
+            assert gates.parks_instead_of("a2")
+            gates.finish("a1")
+            assert gates.started("a2")
+            assert gates.parks_instead_of("a3")
+            gates.finish("a2")
+            assert gates.started("a3") and gates.started("a4")
+            assert gates.pool.stats()["running"] == 2
+            assert "B" not in gates.pool._finish
+        finally:
+            gates.close()
+        assert gates.most == {"A": 2, "B": 1}
+
     def test_stop_returns_while_a_worker_is_parked(self):
         """(d) the parked worker leaves on stop, not on the capped task
         it was waiting for."""
