@@ -79,10 +79,15 @@ class AccessDeniedError(RemoteException):
     is called — while some protection domain on the effective call chain
     lacks the required permission.  The chain is the LRMI segment stack
     (every domain the request passed through), truncated at the most
-    recent ``do_privileged`` scope and extended by the compressed caller
-    context a cross-process call frame carried in.  A ``RemoteException``
-    subclass so it propagates through every existing failure path; the
-    web layer maps it to a typed 403 rather than a 500.
+    recent ``do_privileged`` scope and extended by the caller context a
+    cross-process call frame carried in; in the MiniJVM, the guest chain
+    comes first.  ``AccessControlContext.check`` raises it, so
+    ``domain`` always names the first domain on the chain that lacks
+    ``permission`` (a ``"kind:target"`` string), in-process, in the VM
+    (whose ``jk/AccessDenied`` carries the same message) and across
+    processes.  A ``RemoteException`` subclass so it propagates through
+    every existing failure path; the web layer maps it to a typed 403
+    rather than a 500.
     """
 
     def __init__(self, message, permission=None, domain=None):

@@ -18,11 +18,15 @@ modifiers:
   the deputy vouches for everything *above* it, but its own domain is
   still checked, so an unrestricted tenant cannot grant itself anything
   by calling ``do_privileged``.
-* Cross-process calls carry a *compressed context* in the call frame
-  (``repro.ipc.lrmi``): the caller side exports its effective restricted
-  sets via :func:`exported_wire_context`, and the host side extends its
-  local walk with them via :func:`imported_context` — the intersection
-  spans processes.
+* Cross-process calls carry the caller's :class:`AccessControlContext`
+  in the call frame (``repro.ipc.lrmi``): the caller side sends
+  :func:`exported_wire_context`, and the host side extends its local
+  walk with the decoded entries via :func:`imported_context` — the
+  intersection spans processes.
+
+A walk only collects ``(domain name, PermissionSet)`` entries; the one
+deny rule is :meth:`AccessControlContext.check`, so every denial names
+the domain that lacked the permission.
 
 Domains whose ``permissions`` attribute is ``None`` (the default) are
 **unrestricted**: they never deny, and a chain containing only
@@ -52,21 +56,31 @@ __all__ = [
     "restricted",
 ]
 
-# Per-thread policy frames, strictly LIFO (pushed/popped under
-# try/finally).  Each frame is a tuple ``(kind, payload)``:
-#   ("priv", depth)     -- do_privileged scope opened at segment-stack
-#                          ``depth``; truncates the walk at depth-1
-#   ("imported", sets)  -- tuple of PermissionSets carried in by a
-#                          cross-process call frame
-_tls = threading.local()
+
+class _PolicyFrames(threading.local):
+    """Per-thread policy frames, strictly LIFO (pushed/popped under
+    try/finally).  Each frame is a tuple ``(kind, payload)``:
+
+    * ``("priv", depth)`` -- a do_privileged scope opened at segment-stack
+      ``depth``; truncates the walk at ``depth - 1``;
+    * ``("imported", ctx)`` -- the AccessControlContext a cross-process
+      call frame carried in.
+
+    ``frames`` is the class default ``None`` until the thread's first
+    push, so probing a thread that never pushed costs one attribute load.
+    """
+
+    frames = None
+
+
+_tls = _PolicyFrames()
 
 
 def _frames():
-    try:
-        return _tls.frames
-    except AttributeError:
+    frames = _tls.frames
+    if frames is None:
         frames = _tls.frames = []
-        return frames
+    return frames
 
 
 class Permission:
@@ -186,34 +200,90 @@ def coerce_policy(policy):
     return PermissionSet(policy)
 
 
-# -- the walk -----------------------------------------------------------------
+# -- the context and its one check ------------------------------------------
 
-def _walk_state():
-    """The effective walk inputs: ``(stack, cut, imported)``.
+class AccessControlContext(tuple):
+    """An effective context (the Java ``AccessControlContext``): the
+    ordered ``(domain name, PermissionSet)`` entries of the chain's
+    restricted domains, most recent first.
 
-    ``cut`` is the lowest segment-stack index still checked (the most
-    recent ``do_privileged`` scope truncates the walk there — at the
-    deputy's *own* frame, which stays in the chain).  ``imported`` is the
-    tuple of imported-frame payloads above that scope, most recent first.
+    Every walk only collects entries — the hosted segment stack
+    (:func:`hosted_entries`), the MiniJVM guest chain
+    (``repro.jkvm.kernel``) and a cross-process caller's context
+    (:meth:`from_compressed`) — and :meth:`check` alone decides.  Capture
+    one with :func:`current_context` and check it later, e.g. from a
+    thread servicing a queued request on the original caller's authority.
     """
+
+    __slots__ = ()
+
+    def check(self, permission):
+        """Raise :class:`AccessDeniedError`, naming the domain, at the
+        first entry that does not imply ``permission``."""
+        if not isinstance(permission, Permission):
+            permission = Permission.parse(permission)
+        for name, permissions in self:
+            if not permissions.implies(permission):
+                raise AccessDeniedError(
+                    f"domain {name!r} lacks permission {permission}",
+                    permission=str(permission),
+                    domain=name,
+                )
+
+    def compressed(self):
+        """The wire form: a tuple of ``(name, ((kind, target), ...))``."""
+        return tuple((name, permissions.wire()) for name, permissions in self)
+
+    @classmethod
+    def from_compressed(cls, wire):
+        """Decode :meth:`compressed`'s form, checking its shape; raise
+        ``ValueError`` on anything else (a peer's bytes are untrusted)."""
+        if type(wire) is not tuple:
+            raise ValueError("a context is a tuple of entries")
+        entries = []
+        for entry in wire:
+            if not (type(entry) is tuple and len(entry) == 2
+                    and type(entry[0]) is str and entry[0]
+                    and type(entry[1]) is tuple
+                    and all(type(pair) is tuple and len(pair) == 2
+                            and type(pair[0]) is str
+                            and type(pair[1]) is str
+                            for pair in entry[1])):
+                raise ValueError("a context entry is (name, permissions)")
+            entries.append((entry[0], PermissionSet.from_wire(entry[1])))
+        return cls(entries)
+
+    def __repr__(self):
+        return f"AccessControlContext({list(self)!r})"
+
+
+# -- the hosted walk ----------------------------------------------------------
+
+def hosted_entries():
+    """Collect the hosted chain's entries: the restricted domains of the
+    segment stack down to the most recent ``do_privileged`` scope — which
+    keeps the deputy's *own* frame — most recent first, then the entries
+    of the imported contexts above that scope."""
     stack = segments._stack()
-    frames = getattr(_tls, "frames", None)
+    frames = _tls.frames
     cut = 0
     imported = ()
     if frames:
-        collected = None
-        for frame in reversed(frames):
-            if frame[0] == "priv":
-                cut = frame[1] - 1
-                if cut < 0:
-                    cut = 0
+        imported = []
+        for kind, payload in reversed(frames):
+            if kind == "priv":
+                cut = payload - 1 if payload else 0
                 break
-            if collected is None:
-                collected = []
-            collected.append(frame[1])
-        if collected:
-            imported = tuple(collected)
-    return stack, cut, imported
+            imported += payload
+    entries = []
+    for index in range(len(stack) - 1, cut - 1, -1):
+        domain = stack[index].domain
+        permissions = getattr(domain, "permissions", None)
+        if permissions is not None:
+            entries.append((domain.name, permissions))
+    if imported:
+        entries += imported
+    return entries
 
 
 def check_permission(permission):
@@ -223,25 +293,14 @@ def check_permission(permission):
     ``permission`` may be a :class:`Permission` or a ``"kind:target"``
     string.  Domains without an installed policy never deny.
     """
-    if not isinstance(permission, Permission):
-        permission = Permission.parse(permission)
-    stack, cut, imported = _walk_state()
-    for index in range(len(stack) - 1, cut - 1, -1):
-        domain = stack[index].domain
-        permissions = getattr(domain, "permissions", None)
-        if permissions is not None and not permissions.implies(permission):
-            raise AccessDeniedError(
-                f"domain {domain.name!r} lacks permission {permission}",
-                permission=str(permission),
-                domain=domain.name,
-            )
-    for group in imported:
-        for permission_set in group:
-            if not permission_set.implies(permission):
-                raise AccessDeniedError(
-                    f"remote caller context lacks permission {permission}",
-                    permission=str(permission),
-                )
+    # The check reads its entries in order, so the walk's list is
+    # checked as it is, not copied into a context first.
+    AccessControlContext.check(hosted_entries(), permission)
+
+
+def current_context():
+    """Capture the effective :class:`AccessControlContext` of this thread."""
+    return AccessControlContext(dict.fromkeys(hosted_entries()))
 
 
 def do_privileged(fn, *args, **kwargs):
@@ -262,36 +321,16 @@ def do_privileged(fn, *args, **kwargs):
 
 
 @contextmanager
-def imported_context(wire_context):
-    """Extend the walk with a compressed cross-process caller context.
-
-    Used by the host side of ``repro.ipc.lrmi``: the caller's restricted
-    permission sets arrive in the call frame and participate in every
-    check the dispatched call performs.
-    """
-    if not wire_context:
-        yield
-        return
-    sets = tuple(PermissionSet.from_wire(pairs) for pairs in wire_context)
+def imported_context(context):
+    """Extend the walk with a cross-process caller's
+    :class:`AccessControlContext` (decoded by :meth:`~AccessControlContext.
+    from_compressed`) for every check the dispatched call performs."""
     frames = _frames()
-    frames.append(("imported", sets))
+    frames.append(("imported", context))
     try:
         yield
     finally:
         frames.pop()
-
-
-def _effective_sets():
-    """The restricted permission sets on the effective chain (deduped)."""
-    stack, cut, imported = _walk_state()
-    sets = []
-    for index in range(len(stack) - 1, cut - 1, -1):
-        permissions = getattr(stack[index].domain, "permissions", None)
-        if permissions is not None:
-            sets.append(permissions)
-    for group in imported:
-        sets.extend(group)
-    return list(dict.fromkeys(sets))
 
 
 def restricted():
@@ -302,7 +341,7 @@ def restricted():
     Conservative: may return ``True`` when only a ``do_privileged``
     marker is active.
     """
-    if getattr(_tls, "frames", None):
+    if _tls.frames:
         return True
     for segment in segments._stack():
         if getattr(segment.domain, "permissions", None) is not None:
@@ -311,66 +350,7 @@ def restricted():
 
 
 def exported_wire_context():
-    """The compressed context a cross-process call frame should carry.
-
+    """The compressed context a cross-process call frame should carry:
     ``None`` when nothing on the chain is restricted (the common case —
-    the frame stays byte-identical to the pre-policy wire); otherwise a
-    tuple of :meth:`PermissionSet.wire` tuples.
-    """
-    sets = _effective_sets()
-    if not sets:
-        return None
-    return tuple(s.wire() for s in sets)
-
-
-class AccessControlContext:
-    """A captured effective context (the Java ``AccessControlContext``).
-
-    Snapshot the current chain with :meth:`capture` (or
-    :func:`current_context`), then :meth:`check` later — e.g. from a
-    different thread servicing a queued request on the original caller's
-    authority.
-    """
-
-    __slots__ = ("_sets",)
-
-    def __init__(self, sets=()):
-        self._sets = tuple(dict.fromkeys(sets))
-
-    @classmethod
-    def capture(cls):
-        return cls(_effective_sets())
-
-    @property
-    def permission_sets(self):
-        return self._sets
-
-    def check(self, permission):
-        if not isinstance(permission, Permission):
-            permission = Permission.parse(permission)
-        for permission_set in self._sets:
-            if not permission_set.implies(permission):
-                raise AccessDeniedError(
-                    f"captured context lacks permission {permission}",
-                    permission=str(permission),
-                )
-
-    def compressed(self):
-        """Wire form (the same shape :func:`exported_wire_context` uses)."""
-        return tuple(s.wire() for s in self._sets) or None
-
-    @classmethod
-    def from_compressed(cls, wire_context):
-        if not wire_context:
-            return cls()
-        return cls(
-            PermissionSet.from_wire(pairs) for pairs in wire_context
-        )
-
-    def __repr__(self):
-        return f"AccessControlContext({list(self._sets)!r})"
-
-
-def current_context():
-    """Capture the effective :class:`AccessControlContext` of this thread."""
-    return AccessControlContext.capture()
+    the frame ends with its arguments)."""
+    return current_context().compressed() or None

@@ -50,8 +50,9 @@ addressed by method index; a reply or control verb carries one value:
 
 * ``MF_CALL``     — an ``OP_CALL``: ``export_id(4) + method_index(1)``
   then the positional-args stream, and — only when the caller's chain
-  is restricted — one more value, the compressed access-control
-  context (``policy.exported_wire_context``).  The host dispatches
+  is restricted — one more value, the caller's access-control context
+  as ``(domain name, ((kind, target), ...))`` entries
+  (``policy.exported_wire_context``).  The host dispatches
   through a method table *bound at export time* (the PR-2
   compile-at-registration strategy): no method name crosses, and an
   unrestricted frame carries nothing but the ids and the arguments.
@@ -556,23 +557,14 @@ def _finish(reader, value, call):
     if call:
         context = reader.read()
         if reader._offset == len(reader._data):
-            return value, _checked_context(context)
+            try:
+                return value, _policy.AccessControlContext.from_compressed(
+                    context)
+            except ValueError:
+                raise ProtocolError(
+                    "malformed caller context after the arguments"
+                ) from None
     raise ProtocolError("trailing bytes after value")
-
-
-def _checked_context(context):
-    """A trailing context as ``policy.imported_context`` takes it: a
-    non-empty tuple of permission sets, each a tuple of ``(kind,
-    target)`` string pairs."""
-    if type(context) is tuple and context and all(
-            type(pairs) is tuple and all(
-                type(pair) is tuple and len(pair) == 2
-                and type(pair[0]) is str and type(pair[1]) is str
-                and pair[0] and ":" not in pair[0]
-                for pair in pairs)
-            for pairs in context):
-        return context
-    raise ProtocolError("malformed caller context after the arguments")
 
 
 def unmarshal(peer, data):
@@ -1185,7 +1177,7 @@ class _Connection:
             raise ProtocolError(
                 f"export #{export_id} has no method #{method_index}"
             )
-        if context is None:
+        if not context:
             return bound[method_index](*args)
         # The caller's context joins this process's walk for the dispatch
         # (and any nested call it makes): the effective-permission

@@ -520,29 +520,23 @@ def _root_domain(kernel, context):
 
 
 def _vm_check_permission(vm, thread, context, permission, kernel):
-    """The guest-side stack walk: every guest domain on the chain (down
-    to the privileged cut, root code included) AND the hosted chain of
-    the embedding thread must imply ``permission`` — the intersection
-    spans both kernels.  Denials surface as ``jk/AccessDenied``."""
+    """The guest-side stack walk: collect every restricted guest domain on
+    the chain (down to the privileged cut, root code included), then the
+    hosted chain of the embedding thread, and check them as one context —
+    the intersection spans both kernels.  A denial surfaces as
+    ``jk/AccessDenied`` naming the domain."""
     segments = context.segments
     cut, include_root = _guest_walk_cut(context)
+    entries = []
     for index in range(len(segments) - 1, cut - 1, -1):
         domain = segments[index].domain
-        permissions = domain.permissions
-        if permissions is not None and not permissions.implies(permission):
-            _throw_access_denied(
-                kernel, vm, thread,
-                f"domain {domain.name} lacks permission {permission}",
-            )
-    if include_root:
-        root = _root_domain(kernel, context)
-        permissions = root.permissions if root is not None else None
-        if permissions is not None and not permissions.implies(permission):
-            _throw_access_denied(
-                kernel, vm, thread,
-                f"domain {root.name} lacks permission {permission}",
-            )
+        if domain.permissions is not None:
+            entries.append((domain.name, domain.permissions))
+    root = _root_domain(kernel, context) if include_root else None
+    if root is not None and root.permissions is not None:
+        entries.append((root.name, root.permissions))
+    entries += _policy.hosted_entries()
     try:
-        _policy.check_permission(permission)
+        _policy.AccessControlContext.check(entries, permission)
     except AccessDeniedError as exc:
         _throw_access_denied(kernel, vm, thread, str(exc))

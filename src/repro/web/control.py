@@ -184,18 +184,22 @@ class AdmissionController:
     # -- configuration -----------------------------------------------------
     def set_weight(self, tenant_key, weight):
         with self._lock:
-            self._weights[tenant_key] = weight
             tenant = self._tenants.get(tenant_key)
             if tenant is not None:
-                self._total_weight += weight - tenant.weight
+                held = self._holds(tenant)
+                self._total_weight += weight - (tenant.weight if held else 0)
                 tenant.weight = weight
+            self._weights[tenant_key] = weight
         return self
 
     def set_deprioritized(self, tenant_key, flag=True):
         """Mark a tenant for shed-first treatment (the quota layer calls
         this when a tenant crosses its soft limit)."""
         with self._lock:
-            self._tenant(tenant_key).deprioritized = flag
+            tenant = self._tenant(tenant_key)
+            held = self._holds(tenant)
+            tenant.deprioritized = flag
+            self._total_weight += tenant.weight * (self._holds(tenant) - held)
         return self
 
     def attach_quota_manager(self, manager):
@@ -209,22 +213,30 @@ class AdmissionController:
                 self._prune()
             weight = self._weights.get(key, 1.0)
             tenant = self._tenants[key] = _Tenant(key, weight)
-            self._total_weight += weight
+            if key in self._weights:
+                self._total_weight += weight
         return tenant
+
+    def _holds(self, tenant):
+        """Does ``tenant`` count in the total weight?  It does while it
+        holds something: a request in flight, a configured weight or a
+        deprioritized mark — the same rule :meth:`_prune` keeps by, so a
+        tenant that finished its last request stops diluting the
+        others' shares at once."""
+        return bool(tenant.in_flight or tenant.deprioritized
+                    or tenant.key in self._weights)
 
     def _prune(self):
         """Drop the tenants that hold nothing: no request in flight, no
         configured weight and no deprioritized mark.  Run (under the
         lock) when a new tenant finds the table at ``max_inflight``
-        entries beyond the configured ones, so neither the table nor the
-        total weight follows the number of ``/servlet/<x>`` prefixes a
-        client can invent."""
-        weights = self._weights
+        entries beyond the configured ones, so the table does not follow
+        the number of ``/servlet/<x>`` prefixes a client can invent."""
         self._tenants = {
             key: tenant for key, tenant in self._tenants.items()
-            if tenant.in_flight or tenant.deprioritized or key in weights
+            if self._holds(tenant)
         }
-        self._total_weight = sum(
+        self._total_weight = sum(  # every kept tenant holds something
             tenant.weight for tenant in self._tenants.values())
 
     # -- the parse-boundary decision ---------------------------------------
@@ -255,8 +267,12 @@ class AdmissionController:
             scale = self.deprioritized_fraction if deprioritized else 1.0
             pressured = (total >= self.max_inflight * self.shed_threshold
                          or self.latency.p99_ms() > self.slo_ms)
+            held = self._holds(tenant)
             if pressured:
-                share = (tenant.weight / max(self._total_weight, 1e-9)
+                # The tenants holding something, and the deciding one.
+                total_weight = self._total_weight + (
+                    0.0 if held else tenant.weight)
+                share = (tenant.weight / max(total_weight, 1e-9)
                          ) * self.max_inflight * scale
                 if tenant.in_flight >= max(share, 1.0):
                     tenant.shed += 1
@@ -266,6 +282,8 @@ class AdmissionController:
                     return AdmissionDecision(False, key,
                                              self.retry_after_s, reason)
             weight = tenant.weight * scale
+            if not held:
+                self._total_weight += tenant.weight
             tenant.in_flight += 1
             tenant.admitted += 1
             self._total_inflight = total + 1
@@ -281,6 +299,8 @@ class AdmissionController:
             if tenant is not None and tenant.in_flight > 0:
                 tenant.in_flight -= 1
                 self._total_inflight -= 1
+                if not self._holds(tenant):
+                    self._total_weight -= tenant.weight
 
     # -- signals -----------------------------------------------------------
     def inflight(self):

@@ -2,6 +2,8 @@
 walk, do_privileged scoping, guarded capabilities, wire contexts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AccessControlContext,
@@ -17,7 +19,12 @@ from repro.core import (
     dumps,
     loads,
 )
-from repro.core.policy import coerce_policy, exported_wire_context, restricted
+from repro.core.policy import (
+    coerce_policy,
+    exported_wire_context,
+    imported_context,
+    restricted,
+)
 
 
 class Store(Remote):
@@ -297,7 +304,8 @@ class TestWireContext:
         probe = tenant.run(lambda: Capability.create(ProbeImpl()))
         probe.go()
         assert seen["restricted"]
-        sets = [PermissionSet.from_wire(w) for w in seen["ctx"]]
+        assert seen["ctx"] == (("tenant11", (("kv.read", "*"),)),)
+        sets = [PermissionSet.from_wire(w) for _, w in seen["ctx"]]
         assert any(s.implies(Permission.parse("kv.read")) for s in sets)
 
     def test_access_control_context_capture_check(self, cleanup_domains):
@@ -315,9 +323,12 @@ class TestWireContext:
         probe.go()
         ctx = captured["ctx"]
         assert isinstance(ctx, AccessControlContext)
+        assert ctx == (("tenant12", PermissionSet(["kv.read"])),)
         ctx.check(Permission.parse("kv.read"))
-        with pytest.raises(AccessDeniedError):
+        with pytest.raises(AccessDeniedError) as info:
             ctx.check(Permission.parse("kv.write"))
+        assert info.value.domain == "tenant12"
+        assert info.value.permission == "kv.write:*"
 
     def test_compressed_roundtrip(self, cleanup_domains):
         tenant = make_domain(cleanup_domains, "tenant13", ["kv.read"])
@@ -333,8 +344,119 @@ class TestWireContext:
         probe = tenant.run(lambda: Capability.create(ProbeImpl()))
         probe.go()
         rebuilt = AccessControlContext.from_compressed(captured["wire"])
-        with pytest.raises(AccessDeniedError):
+        with pytest.raises(AccessDeniedError) as info:
             rebuilt.check(Permission.parse("kv.write"))
+        assert info.value.domain == "tenant13"
+        assert AccessControlContext.from_compressed(()) == ()
+
+    @pytest.mark.parametrize("wire", [
+        None, ("kv.read",), ((("kv.read", "*"),),),
+        (("", (("kv.read", "*"),)),), ((7, (("kv.read", "*"),)),),
+        (("t", ("kv.read:*",)),), (("t", (("kv:read", "*"),)),),
+        (("t", (("kv.read", 7),)),), (("t", (("kv.read", "*"),), "x"),),
+    ])
+    def test_malformed_wire_is_refused(self, wire):
+        with pytest.raises(ValueError):
+            AccessControlContext.from_compressed(wire)
+
+
+# -- the one check, against a reference model ---------------------------------
+
+UNIVERSE = ("u.a", "u.b", "u.c")
+policies = st.one_of(st.none(), st.sets(st.sampled_from(UNIVERSE)))
+
+
+class Hop(Remote):
+    def go(self): ...
+
+
+class HopImpl(Hop):
+    """One frame of a generated chain: call the next hop or, at the end
+    of the chain, run ``probe`` — under ``do_privileged`` when this frame
+    asserts it."""
+
+    def __init__(self, next_hop, privileged, probe):
+        self._next, self._privileged, self._probe = next_hop, privileged, probe
+
+    def go(self):
+        step = self._probe if self._next is None else self._next.go
+        if self._privileged:
+            return do_privileged(step)
+        return step()
+
+
+def _decision(check, permission):
+    """``None`` for allowed, else the name of the denying domain."""
+    try:
+        check(permission)
+    except AccessDeniedError as exc:
+        assert exc.permission == permission
+        return exc.domain
+    return None
+
+
+def _reference(chain, privileged_at, imported, permission):
+    """Intersection over the chain above the cut, most recent first: a
+    ``do_privileged`` asserted by hop ``k`` keeps hop ``k`` itself and
+    drops every frame below it, imported callers included."""
+    walk = chain if privileged_at is None else chain[privileged_at:]
+    entries = [*reversed(walk),
+               *(imported if privileged_at is None else ())]
+    for name, policy in entries:
+        if policy is not None and permission not in policy:
+            return name
+    return None
+
+
+class TestOneCheck:
+    @settings(deadline=None)
+    @given(
+        chain=st.lists(policies, min_size=1, max_size=6),
+        privileged=st.data(),
+        imported=st.lists(st.sets(st.sampled_from(UNIVERSE)), max_size=2),
+        permission=st.sampled_from(UNIVERSE),
+    )
+    def test_walk_capture_and_wire_agree_with_the_model(
+        self, chain, privileged, imported, permission
+    ):
+        chain = [(f"hop{i}", policy) for i, policy in enumerate(chain)]
+        imported = [(f"remote{i}", policy)
+                    for i, policy in enumerate(imported)]
+        privileged_at = privileged.draw(st.one_of(
+            st.none(), st.integers(0, len(chain) - 1)))
+        target = f"{permission}:*"
+        seen = {}
+
+        def probe():
+            context = current_context()
+            rebuilt = AccessControlContext.from_compressed(
+                context.compressed())
+            seen["walk"] = _decision(check_permission, target)
+            seen["captured"] = _decision(context.check, target)
+            seen["rebuilt"] = _decision(rebuilt.check, target)
+
+        domains = []
+        try:
+            hop = None
+            for index in reversed(range(len(chain))):
+                name, policy = chain[index]
+                domain = Domain(name)
+                domains.append(domain)
+                if policy is not None:
+                    domain.set_policy(policy)
+                hop = domain.run(lambda: Capability.create(HopImpl(
+                    hop, index == privileged_at, probe)))
+            with imported_context(AccessControlContext(
+                    (name, PermissionSet(policy))
+                    for name, policy in imported)):
+                hop.go()
+        finally:
+            for domain in domains:
+                domain.terminate()
+        expected = _reference(chain, privileged_at, imported, permission)
+        assert seen == {"walk": expected, "captured": expected,
+                        "rebuilt": expected}
+        assert not restricted()  # every scope popped
 
 
 class TestErrorSerialization:

@@ -254,12 +254,15 @@ class TestVMHostedMatrix:
         return kernel.vm.call_static(driver, method, desc, args,
                                      domain_tag=vendor_domain.tag)
 
-    def _expect_denied(self, vm_market, method, args, desc=None):
+    def _expect_denied(self, vm_market, method, args, desc=None,
+                       denier="vm-vendor"):
         from repro.jvm.errors import JThrowable
 
         with pytest.raises(JThrowable) as info:
             self._call(vm_market, method, args, desc)
         assert "AccessDenied" in str(info.value)
+        assert (f"domain {denier!r} lacks permission ledger.append:*"
+                in str(info.value))
 
     def test_direct_denied(self, vm_market):
         ledger_cap = vm_market[3]
@@ -385,6 +388,7 @@ class TestOutOfProcessMatrix:
         with pytest.raises(AccessDeniedError) as info:
             launderer.go()
         assert info.value.permission == "kv.write:*"
+        assert info.value.domain == "oop-tenant"
         # The wire still works for the sanctioned caller afterwards.
         assert clerk.write() == "clerk-wrote"
 
@@ -468,13 +472,15 @@ class TestWebSurface:
         denied = fetch_once("127.0.0.1", port, "/servlet/lifter/steal")
         assert denied.status == 403
         assert b"access denied" in denied.body
+        assert b"domain 'servlet-lifter' lacks permission" in denied.body
 
     def test_in_process_policy_install_403(self, market):
         server, port, _, _ = market
         server.install_servlet("/adminless", _PolicedServlet,
                                policy=["market.page"])
-        assert fetch_once("127.0.0.1", port,
-                          "/servlet/adminless").status == 403
+        denied = fetch_once("127.0.0.1", port, "/servlet/adminless")
+        assert denied.status == 403
+        assert b"domain 'servlet-adminless' lacks permission" in denied.body
 
     def test_out_of_process_policy_install_403(self, market):
         server, port, _, _ = market
@@ -482,5 +488,6 @@ class TestWebSurface:
             "/oopbooth", _PolicedServlet, supervise=False,
             policy=["market.page"],
         )
-        assert fetch_once("127.0.0.1", port,
-                          "/servlet/oopbooth").status == 403
+        denied = fetch_once("127.0.0.1", port, "/servlet/oopbooth")
+        assert denied.status == 403
+        assert b"domain 'servlet-oopbooth' lacks permission" in denied.body

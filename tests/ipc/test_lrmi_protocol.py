@@ -211,6 +211,7 @@ class TestHostileCallFrames:
 
     @pytest.mark.parametrize("frame", [
         "envelope", "index_past_table", "malformed_context",
+        "nameless_context", "empty_name_context", "non_str_name_context",
         "two_trailing_values", "short_header", "descriptors_no_tuple",
         "descriptor_no_tuple",
     ])
@@ -227,8 +228,16 @@ class TestHostileCallFrames:
                 export_id, len(exported_methods(capability)), ()),
             "malformed_context": _call_frame(
                 export_id, 0, (), ("kv.read",)),
+            # the old shape: permission sets with no domain name
+            "nameless_context": _call_frame(
+                export_id, 0, (), ((("kv.read", "*"),),)),
+            "empty_name_context": _call_frame(
+                export_id, 0, (), (("", (("kv.read", "*"),)),)),
+            "non_str_name_context": _call_frame(
+                export_id, 0, (), ((7, (("kv.read", "*"),)),)),
             "two_trailing_values": _call_frame(
-                export_id, 0, (), ((("kv", "*"),),), ((("kv", "*"),),)),
+                export_id, 0, (), (("t", (("kv", "*"),)),),
+                (("t", (("kv", "*"),)),)),
             "short_header": bytes((MF_CALL, 0, 0)),
             # MF_CALL_TABLED: call header, descriptors, then the args
             "descriptors_no_tuple": bytes((MF_CALL_TABLED,))
@@ -253,14 +262,16 @@ class TestHostileCallFrames:
         harness.kernel.bindings["guarded"] = guarded
         proxy = harness.lookup("guarded")
         index = exported_methods(guarded).index("ping")
-        granted = ((("unit.ping", "*"),),)
+        granted = (("remote-caller", (("unit.ping", "*"),)),)
         assert _raw_call(harness.client_conn,
                          _call_frame(proxy._export_id, index, (),
                                      granted)) == 7
-        with pytest.raises(AccessDeniedError):
+        with pytest.raises(AccessDeniedError) as info:
             _raw_call(harness.client_conn,
                       _call_frame(proxy._export_id, index, (),
-                                  ((("unit.echo", "*"),),)))
+                                  (("remote-caller",
+                                    (("unit.echo", "*"),)),)))
+        assert info.value.domain == "remote-caller"
         assert proxy.ping() == 7  # no context: the host's chain alone
 
     def test_typed_error_reply_keeps_the_connection(self, harness):
@@ -315,7 +326,7 @@ class TestProxyCalls:
         assert restricted[5:header] == plain[5:header]
         assert plain[header:] == dumps((3,))
         assert restricted[header:] == dumps((3,)) + dumps(
-            ((("kv.read", "*"),),))
+            (("restricted-unit-caller", (("kv.read", "*"),)),))
 
 
 class TestExportDescriptors:

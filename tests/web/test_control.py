@@ -105,8 +105,10 @@ class TestAdmissionController:
 
     @staticmethod
     def _register(controller, *tenants):
-        """Fair share is computed over tenants seen so far; touch each
-        once so the capacity splits the way production traffic would."""
+        """A configured tenant counts in the total weight once seen;
+        touch each once so the capacity splits the way production
+        traffic would.  An unconfigured one counts only while it has a
+        request in flight."""
         for tenant in tenants:
             decision = controller.decide(f"/servlet{tenant}/warm")
             if decision.admitted:
@@ -115,7 +117,8 @@ class TestAdmissionController:
     def test_fair_share_sheds_the_hog_under_pressure(self):
         controller = AdmissionController(max_inflight=10,
                                          shed_threshold=0.5)
-        self._register(controller, "/hog", "/meek")
+        self._register(controller, "/hog")
+        waiting = controller.decide("/servlet/meek/x")  # meek has work
         hog = [controller.decide("/servlet/hog/x") for _ in range(5)]
         assert all(d.admitted for d in hog)  # filling up to its share
         # Past the pressure threshold the hog is over its 1/2 share; a
@@ -124,7 +127,7 @@ class TestAdmissionController:
         assert not over.admitted
         assert over.reason == "over-fair-share"
         assert controller.decide("/servlet/meek/x").admitted
-        _drain(controller, hog)
+        _drain(controller, hog + [waiting])
         controller.finish("/meek")
 
     def test_weights_shift_the_fair_share(self):
@@ -209,12 +212,13 @@ class TestAdmissionController:
     def test_slow_p99_turns_pressure_on(self):
         controller = AdmissionController(max_inflight=100, slo_ms=10.0,
                                          shed_threshold=0.99)
-        self._register(controller, "/a", "/b")  # share: 50 each
+        self._register(controller, "/a")
+        waiting = controller.decide("/servlet/b/x")  # share: 50 each
         for _ in range(50):
             controller.latency.note(50_000)  # 50 ms, far over the SLO
         held = [controller.decide("/servlet/a/x") for _ in range(60)]
         assert sum(not d.admitted for d in held) == 10
-        _drain(controller, held)
+        _drain(controller, held + [waiting])
 
     def test_finish_records_latency_and_is_idempotent(self):
         controller = AdmissionController()
@@ -260,8 +264,10 @@ class TestAdmissionController:
         tenants = controller.stats()["tenants"]
         assert len(tenants) <= 64 + 2
         assert {"/abuser", "/marked"} <= set(tenants)
-        assert controller._total_weight == pytest.approx(
-            sum(tenant["weight"] for tenant in tenants.values()))
+        assert controller._total_weight == pytest.approx(sum(
+            tenant["weight"] for key, tenant in tenants.items()
+            if tenant["in_flight"] or tenant["deprioritized"]
+            or key in ("/steady", "/abuser")))
         # Pressure is on from four in flight: three one-shots and
         # steady's first, and steady's next ones are inside its share.
         busy = [controller.decide(f"/servlet/busy-{index}/x")
@@ -270,6 +276,26 @@ class TestAdmissionController:
         assert all(decision.admitted for decision in busy + steady)
         assert controller.inflight() == 11
         _drain(controller, busy + steady)
+
+    def test_finished_tenants_stop_diluting_the_total_weight(self):
+        """Below the prune bound, a tenant whose requests all finished no
+        longer counts in the total weight: a configured tenant keeps its
+        whole share, and a deciding newcomer counts only itself."""
+        controller = AdmissionController(slo_ms=1.0,
+                                         weights={"/steady": 1.0})
+        controller.latency.note(5_000.0)  # p99 over the SLO: pressured
+        for index in range(254):
+            decision = controller.decide(f"/servlet/x{index}/a")
+            assert decision.admitted
+            controller.finish(decision.tenant)
+        assert controller._total_weight == 0.0  # nothing holds anything
+        steady = [controller.decide("/servlet/steady/x") for _ in range(8)]
+        assert [d.reason for d in steady] == ["ok"] * 8
+        newcomer = controller.decide("/servlet/new/x")
+        assert newcomer.admitted
+        assert controller._total_weight == pytest.approx(2.0)
+        _drain(controller, steady + [newcomer])
+        assert controller._total_weight == pytest.approx(1.0)
 
     def test_concurrent_decide_finish_keeps_gauge_consistent(self):
         controller = AdmissionController(max_inflight=64)
