@@ -85,7 +85,10 @@ class AccessDeniedError(RemoteException):
     ``domain`` always names the first domain on the chain that lacks
     ``permission`` (a ``"kind:target"`` string), in-process, in the VM
     (whose ``jk/AccessDenied`` carries the same message) and across
-    processes.  A ``RemoteException`` subclass so it propagates through
+    processes.  For an entry imported across processes, ``domain`` is
+    the name the remote caller wrote into its context: its own,
+    unauthenticated claim, which can only narrow that caller's
+    authority.  A ``RemoteException`` subclass so it propagates through
     every existing failure path; the web layer maps it to a typed 403
     rather than a 500.
     """

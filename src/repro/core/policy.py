@@ -56,31 +56,21 @@ __all__ = [
     "restricted",
 ]
 
-
-class _PolicyFrames(threading.local):
-    """Per-thread policy frames, strictly LIFO (pushed/popped under
-    try/finally).  Each frame is a tuple ``(kind, payload)``:
-
-    * ``("priv", depth)`` -- a do_privileged scope opened at segment-stack
-      ``depth``; truncates the walk at ``depth - 1``;
-    * ``("imported", ctx)`` -- the AccessControlContext a cross-process
-      call frame carried in.
-
-    ``frames`` is the class default ``None`` until the thread's first
-    push, so probing a thread that never pushed costs one attribute load.
-    """
-
-    frames = None
-
-
-_tls = _PolicyFrames()
+# Per-thread policy frames, strictly LIFO (pushed/popped under
+# try/finally).  Each frame is a tuple ``(kind, payload)``:
+#   ("priv", depth)     -- do_privileged scope opened at segment-stack
+#                          ``depth``; truncates the walk at depth-1
+#   ("imported", ctx)   -- the AccessControlContext a cross-process call
+#                          frame carried in
+_tls = threading.local()
 
 
 def _frames():
-    frames = _tls.frames
-    if frames is None:
+    try:
+        return _tls.frames
+    except AttributeError:
         frames = _tls.frames = []
-    return frames
+        return frames
 
 
 class Permission:
@@ -265,7 +255,7 @@ def hosted_entries():
     keeps the deputy's *own* frame — most recent first, then the entries
     of the imported contexts above that scope."""
     stack = segments._stack()
-    frames = _tls.frames
+    frames = getattr(_tls, "frames", None)
     cut = 0
     imported = ()
     if frames:
@@ -341,7 +331,7 @@ def restricted():
     Conservative: may return ``True`` when only a ``do_privileged``
     marker is active.
     """
-    if _tls.frames:
+    if getattr(_tls, "frames", None):
         return True
     for segment in segments._stack():
         if getattr(segment.domain, "permissions", None) is not None:
